@@ -1,11 +1,12 @@
 """Benchmark harness (driver contract).
 
 Default: run the headline pipeline — synthetic input_hint image table →
-fused decode+CNN-embed actor pool → features parquet → point-in-time
+fused decode+CNN-embed tasks → features parquet → point-in-time
 as-of join of an observation stream onto timestamped features — over
 ``$GRAFT_SF_DIR`` (default /root/testdata/sf0.1) with
-``ray.init(address="local", num_cpus=$RAY_GRAFT_CPUS)`` (default 32),
-plus secondary operator benches. Prints ONE JSON line.
+``ray.init(address="local", num_cpus=$RAY_GRAFT_CPUS)`` (default: the
+CPUs this process may run on), plus secondary operator benches. Prints
+ONE JSON line.
 
 ``--scaling``: runs the identical headline job in two fresh processes
 at 8 and 32 CPUs (the sandbox stand-in for N vs 4N nodes per
@@ -21,7 +22,7 @@ import sys
 import time
 
 SF_DIR = os.environ.get("GRAFT_SF_DIR", "/root/testdata/sf0.1")
-NUM_CPUS = int(os.environ.get("RAY_GRAFT_CPUS", "32"))
+NUM_CPUS = int(os.environ.get("RAY_GRAFT_CPUS", len(os.sched_getaffinity(0))))
 OUT_ROOT = "/tmp/pic2vec_ray_bench"
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
@@ -125,7 +126,7 @@ def run_headline(sf_dir: str) -> dict:
         src = src.union(_with_offset(r))
     total_images = num_images * repeat
 
-    # stage 1: featurize (decode + embed actor pool) → parquet sink
+    # stage 1: featurize (decode + embed tasks) → parquet sink
     jif0 = _cpu_jiffies()
     t0 = time.perf_counter()
     ds = featurize_images(src, model_str="tinynet", depth=1)
@@ -200,21 +201,13 @@ def run_checkpointed_featurize(sf_dir: str) -> dict:
     ck_dir = f"{OUT_ROOT}/features_ckpt"
     shutil.rmtree(ck_dir, ignore_errors=True)
 
-    # overlap all 4 partitions (VERDICT r03 #3) and split the embed
-    # pool between them. 1.5x the even split measured fastest (8.8 vs
-    # 13.7 s at 32 CPUs): overlapped pipelines interleave Python decode
-    # with reads/dispatch, so a modest oversubscription keeps actors
-    # busy while a sibling pipeline waits on IO; 2x (4x8 pools)
-    # regressed to 22 s. Sweep recorded in BASELINE.md round 4.
-    import ray
-
-    total_pool = max(1, min((3 * int(ray.cluster_resources().get("CPU", 4))) // 4, 16))
+    # overlap all 4 partitions (VERDICT r03 #3), each at the default
+    # concurrency: a cap of CPUs ÷ 4 embed tasks per partition measured
+    # slower (median 37.3 vs 27.0 s at sf0.1 on 4 CPUs)
     k = 4
-    per_part = max(1, int(round(1.5 * total_pool / k)))
 
     def pipeline(ds):
-        return featurize_images(ds, model_str="tinynet", depth=1,
-                                concurrency=per_part)
+        return featurize_images(ds, model_str="tinynet", depth=1)
 
     t0 = time.perf_counter()
     summary = run_partitioned(images_dir, ck_dir, pipeline,
@@ -284,9 +277,6 @@ def main_single():
     if os.environ.get("GRAFT_HEADLINE_ONLY"):
         secondary = {}
     else:
-        # checkpointed featurize LAST: its 4 sequential actor-pool
-        # spin-ups churn the worker pool and would inflate whatever
-        # runs after it (measured +60% on minhash when it ran first)
         secondary = {**run_secondary(SF_DIR), **run_checkpointed_featurize(SF_DIR)}
     result = {
         "metric": "featurize+asof end-to-end seconds (headline); images/sec in queries.images_per_sec",
@@ -313,7 +303,7 @@ def main_scaling():
     # Default pair 4 → 16: this VM has ~16 physical cores behind 32
     # hyperthreads; real cluster nodes do not share cores/caches, so the
     # faithful stand-in for N vs 4N NODES is a pair where both levels sit
-    # on dedicated physical cores (embed pools scale 3 → 12 actors,
+    # on dedicated physical cores (embed tasks scale 4 → 16,
     # exactly 4x). Set GRAFT_SCALE_LO/HI to override (e.g. 8/32; that
     # pair additionally measures hyperthread sharing).
     import statistics

@@ -10,7 +10,7 @@ pic2vec                             pic2vec_ray
 ``ImageFeaturizer(depth=2, ...)``   same constructor knobs (model_str,
                                     depth, autosample/downsample_size)
 ``.featurize(image_columns,         ``.featurize(...)`` — directory/CSV
-  image_path=..., csv_path=...)``   ingest → decode+embed actor pool;
+  image_path=..., csv_path=...)``   ingest → decode+embed tasks;
                                     returns a pandas frame with
                                     ``{col}_missing, {col}_feat_i``
 ``.load_data`` +                    ``.load_data`` builds the lazy input
@@ -111,7 +111,7 @@ class ImageFeaturizer:
         return self.full_dataframe
 
     def _featurize_multi(self, batch_size: int) -> pd.DataFrame:
-        """Every listed column featurized by its own actor-pool stage;
+        """Every listed column featurized by its own chained map stage;
         per-column features land side by side in the same rows (the
         reference's positional ``pd.concat(axis=1)``, M9, is implicit
         because features are computed in-line)."""

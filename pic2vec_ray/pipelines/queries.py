@@ -33,6 +33,17 @@ def _rd():
     return rd
 
 
+def _fixed_pool(n: int = 4) -> int:
+    """Size of a query's fixed actor pool: ``n`` actors, but at least one
+    cluster CPU left for the tasks around the pool. A pool holding every
+    CPU starves them and never finishes (a pool of 4 on a 4-CPU session
+    hangs ``text_stats_docs``)."""
+    import ray
+
+    cpus = int(ray.cluster_resources().get("CPU", n + 1)) if ray.is_initialized() else n + 1
+    return max(1, min(n, cpus - 1))
+
+
 def _nparts(sf_dir: str, *tables: str) -> int:
     """Shuffle partition count sized from the actual input tables and
     the cluster (temporal.core.suggest_partitions) — never a constant,
@@ -1138,7 +1149,8 @@ def text_stats_docs(sf_dir: str):
 
     ds = _rd().read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
     # fixed pool: autoscaling (1, N) ramps too slowly for batch jobs
-    out = ds.map_batches(TextStats, batch_format="pandas", concurrency=4) \
+    out = ds.map_batches(TextStats, batch_format="pandas",
+                         concurrency=_fixed_pool()) \
             .map_batches(count_tokens_bpe_ish, batch_format="pandas")
     return out.select_columns(
         ["doc_id", "n_chars_calc", "n_tokens", "n_words", "n_punct", "punct_ratio", "n_bpe_tokens"]
@@ -1168,7 +1180,7 @@ def quality_filter_docs(sf_dir: str):
     from ..stages.text import quality_filter
 
     ds = _rd().read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
-    out = quality_filter(ds, cutoff=QUALITY_CUTOFF, concurrency=4)
+    out = quality_filter(ds, cutoff=QUALITY_CUTOFF, concurrency=_fixed_pool())
 
     def finish(df: pd.DataFrame) -> pd.DataFrame:
         df = df.copy()
@@ -1528,7 +1540,8 @@ def audio_dominant_band(sf_dir: str):
                             columns=["clip_id", "bytes", "n_samples"])
     out = ds.map_batches(AudioFeatureActor,
                          fn_constructor_kwargs=dict(n_bands=16, frame=512),
-                         batch_format="pyarrow", batch_size=256, concurrency=4)
+                         batch_format="pyarrow", batch_size=256,
+                         concurrency=_fixed_pool())
 
     def project(t: pa.Table) -> pa.Table:
         feats = t["features"].combine_chunks()
@@ -1553,31 +1566,34 @@ FROM part
 """
 
 
+def _sample_video_frames(batch: pa.Table) -> pa.Table:
+    """``video_frame_stats``' map task: this worker process's warm
+    ``VideoFrameSampleActor`` (tinynet built once, as for featurize)."""
+    from ..stages.embed import warm_stage
+    from ..stages.multimodal import VideoFrameSampleActor
+
+    kwargs = (("decoder", "mjpeg"), ("emit_stats", True),
+              ("model_str", "tinynet"), ("num_frames", 4))
+    return warm_stage(VideoFrameSampleActor, kwargs)(batch)
+
+
 def video_frame_stats(sf_dir: str):
     """End-to-end VIDEO pipeline: synthetic MJPEG/AVI clips (8
     solid-gray frames per clip at the decode-exact grays 128+3m, plus
     garbage/empty missing rows) → real RIFF/AVI container parse →
     uniform 4-frame sample → from-scratch JPEG decode → CNN embed in
-    the VideoFrameSampleActor pool. The projected per-clip stats
-    (container frame count, mean sampled-frame intensity) are
-    closed-form from ``part`` — the whole demux→sample→decode chain is
+    plain tasks over a per-process warm VideoFrameSampleActor. The
+    projected per-clip stats (container frame count, mean sampled-frame
+    intensity) are closed-form from ``part`` — the whole demux→sample→decode chain is
     rows+schema+hash oracle-checked; the CNN features over the same
     frames are pinned separately in pytest (not SQL-expressible)."""
     from ..fixtures.synth import video_table_path
-    from ..stages.multimodal import VideoFrameSampleActor
+    from .featurize import read_for_embed
 
-    import ray as _ray
-
-    ncpu = int(_ray.cluster_resources().get("CPU", 4)) if _ray.is_initialized() else 4
-    pool = max(1, min((3 * ncpu) // 4, 16))  # the featurize pool sizing
-    ds = _rd().read_parquet(video_table_path(sf_dir),
-                            override_num_blocks=3 * pool,
-                            columns=["clip_id", "bytes", "w", "h", "n_frames"])
-    out = ds.map_batches(
-        VideoFrameSampleActor,
-        fn_constructor_kwargs=dict(num_frames=4, model_str="tinynet",
-                                   decoder="mjpeg", emit_stats=True),
-        batch_format="pyarrow", batch_size=64, concurrency=pool)
+    ds = read_for_embed(video_table_path(sf_dir),
+                        ["clip_id", "bytes", "w", "h", "n_frames"])
+    out = ds.map_batches(_sample_video_frames, batch_format="pyarrow",
+                         batch_size=64)
 
     def project(t: pa.Table) -> pa.Table:
         return pa.table({
@@ -1873,7 +1889,7 @@ def langid_docs(sf_dir: str):
     from ..stages.text import LangId
 
     ds = _rd().read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text", "lang"])
-    return ds.map_batches(LangId, batch_format="pandas", concurrency=4) \
+    return ds.map_batches(LangId, batch_format="pandas", concurrency=_fixed_pool()) \
              .select_columns(["doc_id", "lang", "lang_pred", "lang_conf"])
 
 
@@ -2394,7 +2410,7 @@ def bpe_tokenize_docs(sf_dir: str):
 
     ds = _rd().read_parquet(f"{sf_dir}/documents.parquet",
                             columns=["doc_id", "text"])
-    out = bpe_tokenize(ds, PINNED_MERGES, output="count", concurrency=4)
+    out = bpe_tokenize(ds, PINNED_MERGES, output="count", concurrency=_fixed_pool())
     return out.select_columns(["doc_id", "n_tokens_bpe"])
 
 
@@ -2440,7 +2456,7 @@ def pack_bpe_docs(sf_dir: str):
 
     ds = _rd().read_parquet(f"{sf_dir}/documents.parquet",
                             columns=["doc_id", "source", "text"])
-    counted = (bpe_tokenize(ds, PINNED_MERGES, output="count", concurrency=4)
+    counted = (bpe_tokenize(ds, PINNED_MERGES, output="count", concurrency=_fixed_pool())
                .select_columns(["doc_id", "source", "n_tokens_bpe"]))
     return pack_sequences(counted, group_col="source", id_col="doc_id",
                           token_col="n_tokens_bpe", budget=200,
@@ -2743,7 +2759,7 @@ def redact_docs(sf_dir: str):
                             columns=["doc_id", "text"])
     return ds.map_batches(
         Redactor([(r"\b(customer|spark)\b", "[ENTITY]")]),
-        batch_format="pandas", concurrency=4,
+        batch_format="pandas", concurrency=_fixed_pool(),
     ).select_columns(["doc_id", "text_redacted", "n_redactions"])
 
 

@@ -1,25 +1,33 @@
-"""Embed actor-pool stage (SURVEY.md §2.3 T1–T8).
+"""Embed stage (SURVEY.md §2.3 T1–T8).
 
-``EmbedActor`` is the stateful stage class passed to
-``ds.map_batches(EmbedActor, fn_constructor_kwargs=..., concurrency=N,
-batch_size=B)``: weights build ONCE per actor in ``__init__`` (the Ray
-analog of the reference holding a Keras model as instance state,
+``EmbedActor`` holds the model: weights build ONCE in ``__init__`` (the
+Ray analog of the reference holding a Keras model as instance state,
 ``/root/reference/pic2vec/image_featurizer.py:151-163``), per-batch
-work in ``__call__`` is fused decode → resize → normalize → CNN
-forward → (optional splice-average downsample), emitting a
+work is fused decode → resize → normalize → CNN forward → (optional
+splice-average downsample), emitting a
 ``features: fixed_size_list<float32>[F]`` column. Fusing decode into
 the embed stage keeps the huge intermediate pixel tensors out of the
 object store — only compact encoded bytes go in, compact feature
 vectors come out (the design SURVEY.md §1.4 calls for).
 
+``featurize_images`` runs it as a plain task ``map_batches`` over
+``embed_batch``, which takes the embedder from ``warm_stage``: one
+instance per Ray worker process, built on that process's first batch
+and reused by every later task and call with the same model. Ray's own
+workers are reused across tasks, so no featurize call starts or ends a
+process.
+
 Missing-row semantics match the reference exactly: failed/empty rows
 become a zero tensor which the model still featurizes
 (``data_featurizing.py:50-51`` predicts over the zero slices), so
 missing rows carry the constant CNN(0) vector with ``missing=True``.
-We compute that constant once per actor instead of re-running the net.
+We compute that constant once per embedder instead of re-running the net.
 """
 
 from __future__ import annotations
+
+import functools
+import hashlib
 
 import numpy as np
 import pyarrow as pa
@@ -34,8 +42,8 @@ class EmbedActor:
                  downsample: bool = False, num_pooled_features: int = 0,
                  bytes_col: str = "bytes", features_col: str = "features",
                  drop_bytes: bool = True, loaded_weights: str = ""):
-        # custom weights load once per actor from shared storage — the
-        # npz path rides the tiny fn_constructor_kwargs, not the batches
+        # custom weights load once per instance from shared storage —
+        # the npz path rides the tiny task arguments, not the batches
         self.model = build_featurizer(model_str, depth, downsample,
                                       num_pooled_features,
                                       loaded_weights=loaded_weights)
@@ -78,12 +86,53 @@ class EmbedActor:
         return feats, missing
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        feats, missing = self._embed_bytes(batch[self.bytes_col].to_pylist())
-        out = batch.drop_columns([self.bytes_col]) if self.drop_bytes else batch
+        return self.embed(batch, self.bytes_col, self.features_col)
+
+    def embed(self, batch: pa.Table, bytes_col: str, features_col: str) -> pa.Table:
+        feats, missing = self._embed_bytes(batch[bytes_col].to_pylist())
+        out = batch.drop_columns([bytes_col]) if self.drop_bytes else batch
         out = out.append_column("missing", pa.array(missing))
         flat = pa.array(feats.ravel(), type=pa.float32())
         col = pa.FixedSizeListArray.from_arrays(flat, self.num_features)
-        return out.append_column(self.features_col, col)
+        return out.append_column(features_col, col)
+
+
+@functools.lru_cache(maxsize=1)
+def warm_stage(cls, kwargs: tuple, stamp: tuple = ()):
+    """``cls(**dict(kwargs))``, built once per worker process and kept
+    for every later task that asks for the same ``(cls, kwargs, stamp)``.
+
+    ``stamp`` identifies what the kwargs name but do not hold, such as
+    the weights file's ``weights_stamp``. ``maxsize=1``: a worker holds
+    at most one model, and a different key replaces it. That model's
+    memory (several hundred MB for ``vgg16``, which also takes seconds
+    to build) stays with the idle worker until Ray ends it: it is the
+    price of a warm worker.
+    """
+    return cls(**dict(kwargs))
+
+
+def weights_stamp(path: str) -> tuple:
+    """``(path, blake2b digest of its bytes)`` of a weights file, ``()``
+    for none: a file rewritten in place gets a new stamp even when its
+    size and mtime are kept (``cp -p``, a rewrite within one timestamp
+    tick), so a warm worker never serves features of the old weights."""
+    if not path:
+        return ()
+    h = hashlib.blake2b()
+    with open(path, "rb") as f:
+        for chunk in iter(lambda: f.read(1 << 20), b""):
+            h.update(chunk)
+    return (path, h.hexdigest())
+
+
+def embed_batch(batch: pa.Table, *, model: tuple, stamp: tuple,
+                bytes_col: str, features_col: str) -> pa.Table:
+    """``map_batches`` task function: embed ``batch[bytes_col]`` with this
+    process's warm ``EmbedActor(**dict(model))``. The columns are per
+    call, not part of the key, so the chained stages of a multi-column
+    featurize share one model instead of rebuilding it on every batch."""
+    return warm_stage(EmbedActor, model, stamp).embed(batch, bytes_col, features_col)
 
 
 class PatchEmbedActor:

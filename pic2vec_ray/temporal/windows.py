@@ -207,6 +207,20 @@ def rolling_rows_agg(ds, *, by: str, order: str, value: str, k: int,
     return partitioned_apply(ds, by, fn, num_partitions)
 
 
+def _round_half_away(x: np.ndarray) -> np.ndarray:
+    """Round half away from zero, as SQL ``ROUND`` does (``np.round``
+    rounds half to even). ``x - round(x)`` is exact for every double, so
+    a tie is found exactly; ``floor(x + 0.5)`` would not be (it rounds
+    0.49999999999999994 up). Ties are rare, so only they are redone."""
+    r = np.round(x)
+    d = np.subtract(x, r)
+    np.abs(d, out=d)
+    tie = d == 0.5
+    if tie.any():
+        r[tie] = x[tie] + np.copysign(0.5, x[tie])
+    return r
+
+
 def ewma_range(ds, *, by: str, order: str, value: str, window: pd.Timedelta,
                halflife: pd.Timedelta, tiebreak: str | None = None,
                num_partitions: int = DEFAULT_PARTITIONS,
@@ -224,9 +238,10 @@ def ewma_range(ds, *, by: str, order: str, value: str, window: pd.Timedelta,
     matters more" feature.
 
     Exactness contract: each addend is quantized to 1/_scale units
-    (``round(w·s)`` / ``round(v·w·s)`` as int64) and the two frame sums
-    are INTEGER sums — order-invariant, so the SQL oracle's unordered
-    SUM() over a windowed self-join reproduces ``num``, ``den`` and the
+    (``round(w·s)`` / ``round(v·w·s)`` as int64, half away from zero
+    like SQL ``ROUND``) and the two frame sums are INTEGER sums —
+    order-invariant, so the SQL oracle's unordered SUM() over a windowed
+    self-join reproduces ``num``, ``den`` and the
     final ``round(num/den, decimals)`` exactly (numpy's vectorized
     exp() and libm's can disagree by 1 ulp; the quantum absorbs it —
     flip probability ~1e-12 per addend, measured).
@@ -259,8 +274,8 @@ def ewma_range(ds, *, by: str, order: str, value: str, window: pd.Timedelta,
             jj = np.arange(total) - np.repeat(offs, n) + np.repeat(lo, n)
             dt = (ts[ii] - ts[jj]).astype("timedelta64[us]").astype(np.int64)
             w = np.exp(-(dt.astype(np.float64)) / tau_us)
-            aw = np.round(w * _scale)            # int-valued doubles;
-            av = np.round(v[jj] * w * _scale)    # sums stay < 2^53 ⇒ exact
+            aw = _round_half_away(w * _scale)          # int-valued doubles;
+            av = _round_half_away(v[jj] * w * _scale)  # sums < 2^53 ⇒ exact
             num[pos:pos + len(g)] = np.bincount(ii, weights=av,
                                                 minlength=len(g))
             den[pos:pos + len(g)] = np.bincount(ii, weights=aw,

@@ -83,6 +83,44 @@ def test_ewma_current_row_weight_one(ray_session):
     assert out.ew_n.tolist() == [1, 1]
 
 
+def test_ewma_half_addend_matches_sql_oracle(ray_session):
+    """Two 0.02 events 48 h apart at a 12 h half-life: the older one's
+    addend is 0.02 · 2⁻⁴ · 10⁴ = 12.5 exactly. SQL ``ROUND`` takes it to
+    13 (half away from zero); ``ewma_range`` must agree with its oracle."""
+    import duckdb
+    import ray.data as rd
+    from pic2vec_ray.pipelines.queries import SQL_EWMA
+    from pic2vec_ray.temporal.windows import ewma_range
+
+    events = pd.DataFrame({
+        "event_id": np.int64([0, 1, 2]),
+        "user_id": np.int64([7, 7, -3]),
+        "ts": pd.to_datetime(["2024-01-01", "2024-01-03", "2024-01-03"])
+              .astype("datetime64[us]"),
+        "value": [0.02, 0.02, -0.02],
+    })
+    got = (ewma_range(rd.from_pandas(events), by="user_id", order="ts",
+                      value="value", window=pd.Timedelta(hours=48),
+                      halflife=pd.Timedelta(hours=12), out_col="value_ewma48h")
+           .to_pandas().sort_values("event_id").reset_index(drop=True))
+    con = duckdb.connect()
+    con.register("events", events)
+    exp = con.execute(SQL_EWMA + " ORDER BY event_id").df()
+    # (200 + 13) / (10000 + 625) at 1e6 scale, rounded half away
+    assert got.value_ewma48h_micro6.iloc[1] == 20047
+    assert got.value_ewma48h_micro6.tolist() == exp.value_ewma48h_micro6.tolist()
+    assert got.value_ewma48h_n.tolist() == exp.value_ewma48h_n.tolist()
+
+
+def test_round_half_away_ties_and_near_ties():
+    from pic2vec_ray.temporal.windows import _round_half_away
+
+    x = np.array([0.5, 1.5, 2.5, -0.5, -2.5, 12.5, 0.49999999999999994,
+                  -0.49999999999999994, 2.4999999999999996, 3.7, -3.7, 0.0])
+    exp = [1, 2, 3, -1, -3, 13, 0, 0, 2, 4, -4, 0]
+    assert _round_half_away(x).tolist() == exp
+
+
 def test_resample_grid_locf(ray_session):
     import ray.data as rd
     from pic2vec_ray.temporal.windows import resample_grid
