@@ -21,6 +21,8 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..stages.pool import fixed_pool
+
 SESSION_GAP_MIN = 30
 ROLL_WINDOW_H = 1
 ANN_QUERY_IDS = (0, 1, 2)
@@ -31,17 +33,6 @@ def _rd():
     import ray.data as rd
 
     return rd
-
-
-def _fixed_pool(n: int = 4) -> int:
-    """Size of a query's fixed actor pool: ``n`` actors, but at least one
-    cluster CPU left for the tasks around the pool. A pool holding every
-    CPU starves them and never finishes (a pool of 4 on a 4-CPU session
-    hangs ``text_stats_docs``)."""
-    import ray
-
-    cpus = int(ray.cluster_resources().get("CPU", n + 1)) if ray.is_initialized() else n + 1
-    return max(1, min(n, cpus - 1))
 
 
 def _nparts(sf_dir: str, *tables: str) -> int:
@@ -1150,7 +1141,7 @@ def text_stats_docs(sf_dir: str):
     ds = _rd().read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
     # fixed pool: autoscaling (1, N) ramps too slowly for batch jobs
     out = ds.map_batches(TextStats, batch_format="pandas",
-                         concurrency=_fixed_pool()) \
+                         concurrency=fixed_pool()) \
             .map_batches(count_tokens_bpe_ish, batch_format="pandas")
     return out.select_columns(
         ["doc_id", "n_chars_calc", "n_tokens", "n_words", "n_punct", "punct_ratio", "n_bpe_tokens"]
@@ -1180,7 +1171,7 @@ def quality_filter_docs(sf_dir: str):
     from ..stages.text import quality_filter
 
     ds = _rd().read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
-    out = quality_filter(ds, cutoff=QUALITY_CUTOFF, concurrency=_fixed_pool())
+    out = quality_filter(ds, cutoff=QUALITY_CUTOFF)
 
     def finish(df: pd.DataFrame) -> pd.DataFrame:
         df = df.copy()
@@ -1541,7 +1532,7 @@ def audio_dominant_band(sf_dir: str):
     out = ds.map_batches(AudioFeatureActor,
                          fn_constructor_kwargs=dict(n_bands=16, frame=512),
                          batch_format="pyarrow", batch_size=256,
-                         concurrency=_fixed_pool())
+                         concurrency=fixed_pool())
 
     def project(t: pa.Table) -> pa.Table:
         feats = t["features"].combine_chunks()
@@ -1889,7 +1880,7 @@ def langid_docs(sf_dir: str):
     from ..stages.text import LangId
 
     ds = _rd().read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text", "lang"])
-    return ds.map_batches(LangId, batch_format="pandas", concurrency=_fixed_pool()) \
+    return ds.map_batches(LangId, batch_format="pandas", concurrency=fixed_pool()) \
              .select_columns(["doc_id", "lang", "lang_pred", "lang_conf"])
 
 
@@ -2410,7 +2401,7 @@ def bpe_tokenize_docs(sf_dir: str):
 
     ds = _rd().read_parquet(f"{sf_dir}/documents.parquet",
                             columns=["doc_id", "text"])
-    out = bpe_tokenize(ds, PINNED_MERGES, output="count", concurrency=_fixed_pool())
+    out = bpe_tokenize(ds, PINNED_MERGES, output="count")
     return out.select_columns(["doc_id", "n_tokens_bpe"])
 
 
@@ -2456,7 +2447,7 @@ def pack_bpe_docs(sf_dir: str):
 
     ds = _rd().read_parquet(f"{sf_dir}/documents.parquet",
                             columns=["doc_id", "source", "text"])
-    counted = (bpe_tokenize(ds, PINNED_MERGES, output="count", concurrency=_fixed_pool())
+    counted = (bpe_tokenize(ds, PINNED_MERGES, output="count")
                .select_columns(["doc_id", "source", "n_tokens_bpe"]))
     return pack_sequences(counted, group_col="source", id_col="doc_id",
                           token_col="n_tokens_bpe", budget=200,
@@ -2759,7 +2750,7 @@ def redact_docs(sf_dir: str):
                             columns=["doc_id", "text"])
     return ds.map_batches(
         Redactor([(r"\b(customer|spark)\b", "[ENTITY]")]),
-        batch_format="pandas", concurrency=_fixed_pool(),
+        batch_format="pandas", concurrency=fixed_pool(),
     ).select_columns(["doc_id", "text_redacted", "n_redactions"])
 
 

@@ -161,15 +161,18 @@ class BpeTokenizer:
 
 def bpe_tokenize(ds, merges, *, text_col: str = "text",
                  output: str = "count", batch_size: int = 512,
-                 concurrency: int = 4):
-    """Apply a fitted/pinned merge table as an actor-pool stage."""
+                 concurrency: int | None = None):
+    """Apply a fitted/pinned merge table as an actor-pool stage
+    (``concurrency`` defaults to ``stages.pool.fixed_pool()``)."""
+    from .pool import fixed_pool
+
     return ds.map_batches(
         BpeTokenizer,
         fn_constructor_kwargs=dict(merges=list(map(tuple, merges)),
                                    text_col=text_col, output=output),
         batch_format="pandas",
         batch_size=batch_size,
-        concurrency=concurrency,
+        concurrency=concurrency or fixed_pool(),
     )
 
 

@@ -15,26 +15,28 @@ Two physical plans, chosen by ``broadcast``:
   side is shipped once per node, not per batch.
 - **shuffle** (both sides large): tag each side, align schemas with
   typed Arrow nulls, union, hash-partition on the entity key
-  (``partitioned_apply``'s key), and run a per-partition sorted
-  ``merge_asof``. One all-to-all exchange; partitions are
-  entity-disjoint so the merge is local and exact.
+  (``partitioned_apply``'s key), sort on it, and run one sorted
+  ``merge_asof`` per sorted block. One all-to-all exchange; a block
+  holds whole partitions and partitions are entity-disjoint, so the
+  merge is local and exact.
 
 Skew (hot ``phash``-style keys, north_rule): ``salt`` splits each hot
 key's LEFT rows across ``salt`` sub-partitions and replicates the hot
 key's RIGHT rows into every sub-partition — replication of the build
 side preserves exact as-of semantics while fanning the probe side out.
+Several sub-partitions of one key can share a block, so the merge keys
+on ``(by, __part)``: each replica of the right side answers only the
+left rows of its own sub-partition.
 """
 
 from __future__ import annotations
 
-import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from .core import DEFAULT_PARTITIONS, PART_COL, hash_partition_ids
+from .core import (DEFAULT_PARTITIONS, PART_COL, SIDE_COL, add_partition_column,
+                   block_apply, restore_int_dtypes, union_sides)
 
-_SIDE = "__side"
-_SALT = "__salt"
 BROADCAST_MAX_BYTES = 64 << 20  # right sides under this go via ray.put
 
 
@@ -161,87 +163,26 @@ def _asof_shuffle(left, right, left_schema, right_schema, on, by, ron, value_col
         + [pa.field(ron, left_schema.field(on).type)]
         + [right_schema.field(c) for c in value_cols]
     )
-    names = unified.names
-
-    def align(side: int):
-        def fn(batch: pa.Table) -> pa.Table:
-            n = len(batch)
-            cols = []
-            for f in unified:
-                if f.name in batch.column_names:
-                    cols.append(batch[f.name].cast(f.type))
-                else:
-                    cols.append(pa.nulls(n, f.type))
-            out = pa.table(cols, names=names)
-            return out.append_column(_SIDE, pa.array(np.full(n, side, dtype=np.int8)))
-
-        return fn
-
-    both = left.map_batches(align(0), batch_format="pyarrow").union(
-        right.map_batches(align(1), batch_format="pyarrow")
-    )
-
-    hot = set(hot_keys) if hot_keys else None
-
-    if not hot:
-        # fast path: Arrow-native tagging — hash only the key column,
-        # skip the full-table pandas round-trip
-        from .core import add_partition_column
-
-        tagged = add_partition_column(both, by, num_partitions)
-        return _asof_merge_groups(tagged, left_schema, on, by, ron, value_cols,
-                                  allow_exact, direction, tolerance)
-
-    def tag(batch: pd.DataFrame) -> pd.DataFrame:
-        batch[PART_COL] = hash_partition_ids(batch, by, num_partitions)
-        if not hot:
-            return batch
-        # skew salting: left rows of hot keys spread over `salt`
-        # sub-partitions; right rows of hot keys replicated to all.
-        is_hot = batch[by].isin(hot)
-        cold = batch[~is_hot].copy()
-        cold[_SALT] = 0
-        hleft = batch[is_hot & (batch[_SIDE] == 0)].copy()
-        hleft[_SALT] = (
-            pd.util.hash_pandas_object(hleft[on], index=False).to_numpy() % salt
-        ).astype("int64")
-        hright = batch[is_hot & (batch[_SIDE] == 1)]
-        reps = [cold, hleft]
-        for s in range(salt):
-            rep = hright.copy()
-            rep[_SALT] = s
-            reps.append(rep)
-        out = pd.concat(reps, ignore_index=True)
-        out[PART_COL] = out[PART_COL] * salt + out[_SALT]
-        return out.drop(columns=[_SALT])
-
-    tagged = both.map_batches(tag, batch_format="pandas")
-    return _asof_merge_groups(tagged, left_schema, on, by, ron, value_cols,
-                              allow_exact, direction, tolerance)
-
-
-def _asof_merge_groups(tagged, left_schema, on, by, ron, value_cols,
-                       allow_exact, direction, tolerance):
-    left_names = list(left_schema.names)
+    tagged = add_partition_column(union_sides(left, right, unified), by,
+                                  num_partitions, hot_keys, salt)
+    lcols = list(left_schema.names) + [PART_COL]  # `on` is a left column
+    rcols = [by, PART_COL, ron] + value_cols
     int_like = {
         f.name: str(f.type)
         for f in left_schema
         if pa.types.is_integer(f.type)
     }
 
-    def merge(group: pd.DataFrame) -> pd.DataFrame:
-        l = group[group[_SIDE] == 0][left_names].copy()  # `on` is a left column
-        r = group[group[_SIDE] == 1][[by, ron] + value_cols].copy()
-        l = l.sort_values(on, kind="mergesort")
-        r = r.sort_values(ron, kind="mergesort")
+    def merge(block: pd.DataFrame) -> pd.DataFrame:
+        side = block[SIDE_COL].to_numpy()
+        l = block.loc[side == 0, lcols].sort_values(on, kind="mergesort")
+        r = block.loc[side == 1, rcols].sort_values(ron, kind="mergesort")
         out = pd.merge_asof(
-            l, r, left_on=on, right_on=ron, by=by,
+            l, r, left_on=on, right_on=ron, by=[by, PART_COL],
             allow_exact_matches=allow_exact, direction=direction, tolerance=tolerance,
         )
         # union-with-nulls upcast int64→float64 in pandas; restore exact
         # dtypes (nullable-safe: a left int column may itself hold nulls).
-        from .core import restore_int_dtypes
+        return restore_int_dtypes(out.drop(columns=[PART_COL]), int_like)
 
-        return restore_int_dtypes(out, int_like)
-
-    return tagged.groupby(PART_COL).map_groups(merge, batch_format="pandas")
+    return block_apply(tagged, merge)

@@ -1,9 +1,10 @@
 """Entity partitioning primitives for the temporal layer (SURVEY.md §2.4/§2.5).
 
 Every wide temporal operation here uses ONE partitioning key reused
-across stages: ``__part = stable_hash(entity_key) % P``. One hash
-shuffle co-locates all rows of an entity; sorting and window logic then
-run per partition in vectorized pandas (never a Python loop over rows).
+across stages: ``__part = stable_hash(entity_key) % P``. One sort on
+``__part`` co-locates all rows of an entity in one block; a kernel then
+runs once per sorted block in vectorized pandas/numpy (never a Python
+loop over rows or entities), over every whole partition in that block.
 ``P`` bounds per-partition memory: at 100 TB, pick P so the largest
 partition (all rows of ~1/P of entities, both join sides) fits a
 worker's heap — P scales with the cluster, not hard-coded.
@@ -16,10 +17,13 @@ from __future__ import annotations
 
 from typing import Callable
 
+import numpy as np
 import pandas as pd
+import pyarrow as pa
 
 DEFAULT_PARTITIONS = 64
 PART_COL = "__part"
+SIDE_COL = "__side"  # 0 = left (probe) row, 1 = right (build) row
 
 
 def hash_partition_ids(df: pd.DataFrame, by: str | list[str], num_partitions: int) -> pd.Series:
@@ -28,24 +32,107 @@ def hash_partition_ids(df: pd.DataFrame, by: str | list[str], num_partitions: in
     return (h % num_partitions).astype("int64")
 
 
-def add_partition_column(ds, by: str | list[str], num_partitions: int = DEFAULT_PARTITIONS):
+def add_partition_column(ds, by: str | list[str], num_partitions: int = DEFAULT_PARTITIONS,
+                         hot_keys: list | None = None, salt: int = 8):
     """Append ``__part`` from the key column(s) only — Arrow in/out, so
-    the non-key columns are never converted to pandas just to hash."""
-    import pyarrow as pa
+    the non-key columns are never converted to pandas just to hash.
 
+    ``hot_keys`` salts skewed keys for a two-sided exchange whose rows
+    carry ``SIDE_COL``: partition ``p`` becomes the ``salt``
+    sub-partitions ``p·salt + s``. A hot key's LEFT rows are spread
+    round-robin over them and its RIGHT rows are replicated into every
+    one (``Table.take``), so each left row still meets the key's whole
+    right side exactly once. Cold rows keep sub-partition 0."""
     cols = [by] if isinstance(by, str) else list(by)
+    hot = list(hot_keys) if hot_keys else None
+    if hot and len(cols) != 1:
+        raise ValueError("hot-key salting supports single-key exchanges only")
 
     def tag(batch: pa.Table) -> pa.Table:
-        if len(cols) == 1:
-            h = pd.util.hash_pandas_object(batch[cols[0]].to_pandas(), index=False)
-        else:
-            h = pd.util.hash_pandas_object(
-                batch.select(cols).to_pandas(), index=False
-            )
-        part = (h % num_partitions).astype("int64").to_numpy()
-        return batch.append_column(PART_COL, pa.array(part))
+        key = batch.select(cols).to_pandas()
+        part = hash_partition_ids(key, cols, num_partitions).to_numpy()
+        if not hot:
+            return batch.append_column(PART_COL, pa.array(part))
+        is_hot = key[cols[0]].isin(hot).to_numpy()
+        right = batch[SIDE_COL].to_numpy() == 1
+        cold = np.flatnonzero(~is_hot)
+        hleft = np.flatnonzero(is_hot & ~right)
+        hright = np.flatnonzero(is_hot & right)
+        take = np.concatenate([cold, hleft, np.tile(hright, salt)])
+        sub = np.concatenate([
+            np.zeros(len(cold), dtype=np.int64),
+            np.arange(len(hleft), dtype=np.int64) % salt,
+            np.repeat(np.arange(salt, dtype=np.int64), len(hright)),
+        ])
+        return batch.take(take).append_column(
+            PART_COL, pa.array(part[take] * salt + sub))
 
     return ds.map_batches(tag, batch_format="pyarrow")
+
+
+def union_sides(left, right, unified: pa.Schema):
+    """Cast both sides to one Arrow schema (typed nulls for the other
+    side's columns), tag each row's ``SIDE_COL`` and union them — the
+    front half of every two-sided exchange."""
+    names = unified.names
+
+    def align(side: int):
+        def fn(batch: pa.Table) -> pa.Table:
+            n = len(batch)
+            cols = [
+                batch[f.name].cast(f.type) if f.name in batch.column_names
+                else pa.nulls(n, f.type)
+                for f in unified
+            ]
+            out = pa.table(cols, names=names)
+            return out.append_column(SIDE_COL, pa.array(np.full(n, side, dtype=np.int8)))
+
+        return fn
+
+    return left.map_batches(align(0), batch_format="pyarrow").union(
+        right.map_batches(align(1), batch_format="pyarrow"))
+
+
+def block_apply(tagged, fn: Callable[[pd.DataFrame], pd.DataFrame]):
+    """Sort a ``__part``-tagged dataset and run ``fn`` once per sorted
+    block. A ``__part`` value never spans two sort output blocks (Ray's
+    own ``map_groups`` relies on this), so ``fn`` sees every row of each
+    partition it is given — but it may be given several partitions at
+    once, or an empty frame, and must key its work on the entity (or on
+    ``__part`` itself, where salted sub-partitions of one entity must
+    stay apart). One call per block, not one per partition."""
+    return tagged.sort(PART_COL).map_batches(fn, batch_size=None, batch_format="pandas")
+
+
+def as_i8(values) -> np.ndarray:
+    """Datetimes as int64 nanoseconds, numbers unchanged. Normalizing to
+    ONE unit before comparing as ints matters: parquet columns are
+    typically datetime64[us] while ``ts + Timedelta`` promotes to [ns] —
+    mixed units viewed as i8 silently compare across scales. ns bounds
+    the representable range to years 1677-2262, plenty for event data
+    and lossless for coarser units."""
+    v = np.asarray(values)
+    if v.dtype.kind == "M":
+        return v.astype("datetime64[ns]").view("i8")
+    return v
+
+
+def rank_packer(*domains: np.ndarray):
+    """Return ``pack(codes, values)``: one sortable int64 per (entity
+    code, value) pair, ordered by code and then value. Values are
+    rank-encoded over the union of ``domains`` — ranks are
+    order-isomorphic, so with every probed value a member of a domain,
+    ``>=``/``<``/``<=`` bounds translate exactly — and the packed key
+    cannot overflow the way ``code · 2^k + value`` would. One
+    ``searchsorted`` over packed keys then finds per-entity frame bounds
+    for every row of a block at once."""
+    uniq = np.unique(np.concatenate(domains))
+    span = np.int64(len(uniq) + 1)
+
+    def pack(codes: np.ndarray, values: np.ndarray) -> np.ndarray:
+        return codes.astype(np.int64) * span + np.searchsorted(uniq, values)
+
+    return pack
 
 
 _NULLABLE_INT = {
@@ -121,17 +208,17 @@ def partitioned_apply(
     fn: Callable[[pd.DataFrame], pd.DataFrame],
     num_partitions: int = DEFAULT_PARTITIONS,
 ):
-    """hash-partition by entity key → apply ``fn`` once per partition.
+    """hash-partition by entity key → apply ``fn`` once per sorted block.
 
-    ``fn`` receives every row of every entity hashed to the partition
-    and must handle multiple entities (vectorized ``df.groupby``).
-    This is the shuffle pattern all window/as-of operators share: one
-    all-to-all exchange on ``__part``, then embarrassingly parallel
-    partition-local work.
+    ``fn`` receives every row of each entity it sees, but may receive
+    several whole partitions at once, or an empty frame: it must handle
+    multiple entities (vectorized ``df.groupby``). This is the shuffle
+    pattern all window operators share: one exchange on ``__part``,
+    then embarrassingly parallel block-local work.
     """
     tagged = add_partition_column(ds, by, num_partitions)
 
-    def run(group: pd.DataFrame) -> pd.DataFrame:
-        return fn(group.drop(columns=[PART_COL]))
+    def run(df: pd.DataFrame) -> pd.DataFrame:
+        return fn(df.drop(columns=[PART_COL]))
 
-    return tagged.groupby(PART_COL).map_groups(run, batch_format="pandas")
+    return block_apply(tagged, run)

@@ -2,9 +2,10 @@
 
 Ray Data's portable large-large join pattern: tag each side, align
 schemas with typed Arrow nulls, union, add ``bucket = hash(key) % B``,
-``groupby(bucket)`` once, and join matching sides inside each bucket
-with a vectorized pandas merge. One all-to-all exchange; buckets are
-key-disjoint so the merge is local and exact. Small sides should use a
+sort on it once, and join matching sides inside each sorted block
+with a vectorized pandas merge keyed on ``keys + [bucket]``. One
+all-to-all exchange; buckets are key-disjoint and never span two
+blocks, so the merge is local and exact. Small sides should use a
 broadcast lookup instead (see ``pipelines/queries.q2_top_customers``);
 skewed keys use the same salt-and-replicate scheme as
 ``temporal.asof`` (salt the probe side, replicate the build side).
@@ -17,9 +18,8 @@ import pandas as pd
 import pyarrow as pa
 
 from .asof import _arrow_schema, _rename
-from .core import DEFAULT_PARTITIONS, PART_COL, hash_partition_ids
-
-_SIDE = "__side"
+from .core import (DEFAULT_PARTITIONS, PART_COL, SIDE_COL, add_partition_column, as_i8,
+                   block_apply, rank_packer, restore_int_dtypes, union_sides)
 
 
 def _union_tagged(left, right, keys: list[str], suffix: str, num_partitions: int,
@@ -40,7 +40,9 @@ def _union_tagged(left, right, keys: list[str], suffix: str, num_partitions: int
     side exactly once, so left-anchored joins (inner/left/semi/anti,
     range) are exact while the hot key's work fans out ``salt``-wide.
     The spread assignment is arbitrary-but-deterministic per batch; any
-    assignment yields the same result set."""
+    assignment yields the same result set. Sub-partitions of one hot
+    key can share a sorted block, so every merge keys on ``__part``
+    as well as the join keys."""
     left_schema = _arrow_schema(left)
     right_schema = _arrow_schema(right)
     value_cols = [n for n in right_schema.names if n not in keys]
@@ -53,49 +55,8 @@ def _union_tagged(left, right, keys: list[str], suffix: str, num_partitions: int
     unified = pa.schema(
         list(left_schema) + [right_schema.field(c) for c in value_cols]
     )
-    names = unified.names
-
-    def align(side: int):
-        def fn(batch: pa.Table) -> pa.Table:
-            n = len(batch)
-            cols = [
-                batch[f.name].cast(f.type) if f.name in batch.column_names
-                else pa.nulls(n, f.type)
-                for f in unified
-            ]
-            out = pa.table(cols, names=names)
-            return out.append_column(_SIDE, pa.array(np.full(n, side, dtype=np.int8)))
-
-        return fn
-
-    hot = set(hot_keys) if hot_keys else None
-    if hot and len(keys) != 1:
-        raise ValueError("hot-key salting supports single-key joins only")
-
-    def tag(batch: pd.DataFrame) -> pd.DataFrame:
-        batch[PART_COL] = hash_partition_ids(batch, keys, num_partitions)
-        if not hot:
-            return batch
-        is_hot = batch[keys[0]].isin(hot)
-        cold = batch[~is_hot].copy()
-        cold["__salt"] = 0
-        hleft = batch[is_hot & (batch[_SIDE] == 0)].copy()
-        hleft["__salt"] = np.arange(len(hleft), dtype=np.int64) % salt
-        hright = batch[is_hot & (batch[_SIDE] == 1)]
-        reps = [cold, hleft]
-        for s in range(salt):
-            rep = hright.copy()
-            rep["__salt"] = s
-            reps.append(rep)
-        out = pd.concat(reps, ignore_index=True)
-        out[PART_COL] = out[PART_COL] * salt + out["__salt"]
-        return out.drop(columns=["__salt"])
-
-    both = (
-        left.map_batches(align(0), batch_format="pyarrow")
-        .union(right.map_batches(align(1), batch_format="pyarrow"))
-        .map_batches(tag, batch_format="pandas")
-    )
+    both = add_partition_column(union_sides(left, right, unified), keys,
+                                num_partitions, hot_keys, salt)
     int_like = {f.name: str(f.type) for f in unified if pa.types.is_integer(f.type)}
     return both, left_schema, value_cols, int_like
 
@@ -108,8 +69,6 @@ def _hash_join_broadcast(left, right, keys: list[str], how: str, suffix: str):
     import logging
 
     import ray
-
-    from .core import restore_int_dtypes
 
     left_schema = _arrow_schema(left)
     rdf = right.to_pandas()
@@ -223,9 +182,14 @@ def hash_join(
         left, right, keys, suffix, num_partitions, hot_keys, salt)
     left_names = list(left_schema.names)
 
-    def merge(group: pd.DataFrame) -> pd.DataFrame:
-        l = group[group[_SIDE] == 0][left_names]
-        r = group[group[_SIDE] == 1][keys + value_cols]
+    lcols = left_names + [PART_COL]
+    pkeys = keys + [PART_COL]
+    out_cols = left_names if how in ("semi", "anti") else left_names + value_cols
+
+    def merge(block: pd.DataFrame) -> pd.DataFrame:
+        side = block[SIDE_COL].to_numpy()
+        l = block.loc[side == 0, lcols]
+        r = block.loc[side == 1, pkeys + value_cols]
         # SQL semantics: a NULL key never matches anything (pandas'
         # isin/merge treat NaN == NaN as a match) — merge only non-null
         # keys on both sides, then re-attach null-key rows as unmatched
@@ -235,11 +199,11 @@ def hash_join(
         # DuckDB oracle).
         rv = r.dropna(subset=keys)
         if how in ("semi", "anti"):
-            mask = l.set_index(keys).index.isin(rv.set_index(keys).index)
+            mask = l.set_index(pkeys).index.isin(rv.set_index(pkeys).index)
             out = l[mask] if how == "semi" else l[~mask]
         elif how in ("right", "outer"):
             null_l = l[keys].isna().any(axis=1).to_numpy()
-            parts = [l[~null_l].merge(rv, on=keys, how=how)]
+            parts = [l[~null_l].merge(rv, on=pkeys, how=how)]
             if how == "outer" and null_l.any():
                 parts.append(l[null_l])
             null_r = r[keys].isna().any(axis=1).to_numpy()
@@ -247,18 +211,16 @@ def hash_join(
                 parts.append(r[null_r])
             out = (pd.concat(parts, ignore_index=True)
                    if len(parts) > 1 else parts[0])
-            out = out.reindex(columns=left_names + value_cols)
         else:
-            out = l.merge(rv, on=keys, how=how)
-        from .core import restore_int_dtypes
-
+            out = l.merge(rv, on=pkeys, how=how)
+        out = out.reindex(columns=out_cols)
         # right/outer can null ANY column (incl. keys, via preserved
         # null-key rows) in SOME buckets only — force nullable ints so
         # the block dtype is not data-dependent per bucket.
         return restore_int_dtypes(out, int_like,
                                   force_nullable=how in ("right", "outer"))
 
-    return both.groupby(PART_COL).map_groups(merge, batch_format="pandas")
+    return block_apply(both, merge)
 
 
 def range_join(
@@ -301,18 +263,20 @@ def range_join(
     if left_ts not in left_names:
         raise ValueError(f"left_ts column {left_ts!r} not found on the left side")
 
-    def merge(group: pd.DataFrame) -> pd.DataFrame:
-        from .core import restore_int_dtypes
+    lcols = left_names + [PART_COL]
+    pkeys = keys + [PART_COL]
 
+    def merge(block: pd.DataFrame) -> pd.DataFrame:
         # Null semantics = SQL: a null key or null timestamp never
         # matches (inner join ⇒ dropping such rows on either side is
         # exact).
-        l = group[group[_SIDE] == 0][left_names].dropna(subset=keys + [left_ts])
-        r = group[group[_SIDE] == 1][keys + value_cols].dropna(subset=keys + [rts])
+        side = block[SIDE_COL].to_numpy()
+        l = block.loc[side == 0, lcols].dropna(subset=keys + [left_ts])
+        r = block.loc[side == 1, pkeys + value_cols].dropna(subset=keys + [rts])
 
         def pairs(lidx: np.ndarray, ridx: np.ndarray) -> pd.DataFrame:
             out = pd.concat(
-                [l.iloc[lidx].reset_index(drop=True),
+                [l[left_names].iloc[lidx].reset_index(drop=True),
                  r[value_cols].iloc[ridx].reset_index(drop=True)],
                 axis=1,
             )
@@ -326,21 +290,10 @@ def range_join(
         # |L_k|·|R_k| rows): sort the right side by (key, ts) once,
         # binary-search each left row's half-open window bounds, and
         # gather exactly the surviving pairs. Peak memory = OUTPUT
-        # size + the sorted index arrays.
-        kcodes = pd.concat([l[keys], r[keys]]).groupby(keys, sort=False).ngroup().to_numpy()
+        # size + the sorted index arrays. ``__part`` is part of the key:
+        # salted sub-partitions of one key may share this block.
+        kcodes = pd.concat([l[pkeys], r[pkeys]]).groupby(pkeys, sort=False).ngroup().to_numpy()
         lc, rc = kcodes[: len(l)], kcodes[len(l):]
-
-        def as_i8(s: pd.Series) -> np.ndarray:
-            v = s.to_numpy()
-            if v.dtype.kind == "M":
-                # normalize to ONE unit before comparing as ints:
-                # parquet columns are typically datetime64[us] while
-                # ``ts + Timedelta`` promotes to [ns] — mixed units
-                # viewed as i8 silently compare across scales. ns
-                # bounds the representable range to years 1677-2262,
-                # plenty for event data and lossless for coarser units.
-                return v.astype("datetime64[ns]").view("i8")
-            return v
 
         lo = as_i8(l[left_ts] + min_delta)
         hi = as_i8(l[left_ts] + max_delta)
@@ -348,14 +301,10 @@ def range_join(
 
         order = np.lexsort((rts_v, rc))
         rc_s, rts_s = rc[order], rts_v[order]
-        # rank-encode timestamps so (key, ts) packs into ONE sortable
-        # int64 — ranks are order-isomorphic and every bound value is a
-        # member of the rank domain, so >=lo / <hi translate exactly
-        uniq = np.unique(np.concatenate([rts_s, lo, hi]))
-        span = np.int64(len(uniq) + 1)
-        comb = rc_s.astype(np.int64) * span + np.searchsorted(uniq, rts_s)
-        starts = np.searchsorted(comb, lc.astype(np.int64) * span + np.searchsorted(uniq, lo))
-        ends = np.searchsorted(comb, lc.astype(np.int64) * span + np.searchsorted(uniq, hi))
+        pack = rank_packer(rts_s, lo, hi)
+        comb = pack(rc_s, rts_s)
+        starts = np.searchsorted(comb, pack(lc, lo))
+        ends = np.searchsorted(comb, pack(lc, hi))
         counts = ends - starts
         total = int(counts.sum())
         lidx = np.repeat(np.arange(len(l)), counts)
@@ -364,4 +313,4 @@ def range_join(
         ridx = order[np.repeat(starts, counts) + within]
         return pairs(lidx, ridx)
 
-    return both.groupby(PART_COL).map_groups(merge, batch_format="pandas")
+    return block_apply(both, merge)

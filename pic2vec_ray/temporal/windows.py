@@ -9,8 +9,12 @@ All operators share the contract:
 - deterministic order inside an entity: ``ORDER BY order_col, tiebreak``
   (ties on the timestamp are broken by an explicit unique id column —
   FIXTURES.md T2 requires the tie-break rule be pinned);
-- one hash shuffle on the entity key via ``partitioned_apply``; inside
-  a partition everything is vectorized pandas groupby ops.
+- one hash shuffle on the entity key via ``partitioned_apply``; each
+  kernel runs once per sorted block, which may hold several whole
+  partitions (or none), in one vectorized pass over every entity of the
+  block: pandas groupby ops, and for frames one ``searchsorted`` over a
+  packed (entity code, time rank) key (``core.rank_packer``) — no Python
+  loop over entities or rows.
 """
 
 from __future__ import annotations
@@ -18,12 +22,63 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
-from .core import DEFAULT_PARTITIONS, partitioned_apply
+from .core import DEFAULT_PARTITIONS, as_i8, partitioned_apply, rank_packer
+
+# (row, frame-row) pairs ewma_range builds at once: bounds its peak
+# memory whatever the block size (a single row's frame may exceed it)
+_EWMA_PAIR_BUDGET = 1 << 20
 
 
 def _sorted(df: pd.DataFrame, by: str, order: str, tiebreak: str | None) -> pd.DataFrame:
     keys = [by, order] + ([tiebreak] if tiebreak else [])
     return df.sort_values(keys, kind="mergesort")
+
+
+def _entities(df: pd.DataFrame, by: str) -> tuple[np.ndarray, np.ndarray]:
+    """Entity code of every row of a frame sorted by ``by`` (codes in
+    order of appearance, so non-decreasing; a null key is one entity)
+    and the index of each entity's first row."""
+    codes = pd.factorize(df[by], use_na_sentinel=False)[0]
+    return codes, np.flatnonzero(np.diff(codes, prepend=-1))
+
+
+def _range_frames(codes: np.ndarray, ts: np.ndarray, window: pd.Timedelta):
+    """Row bounds ``[lo, hi)`` of the RANGE frame ``[t − window, t]``,
+    timestamp peers included, for every row of a block sorted by
+    (entity, ts): one ``searchsorted`` over packed (code, time rank)."""
+    t, t_lo = as_i8(ts), as_i8(ts - window)
+    pack = rank_packer(t, t_lo)
+    key = pack(codes, t)
+    return (np.searchsorted(key, pack(codes, t_lo), side="left"),
+            np.searchsorted(key, key, side="right"))
+
+
+def _entity_cumsum(v: np.ndarray, first: np.ndarray) -> np.ndarray:
+    """Inclusive prefix sums of ``v`` restarting at every entity start
+    in ``first``, each entity summed left to right exactly as
+    ``np.cumsum`` sums it alone (pandas' ``groupby().cumsum()`` is
+    compensated, so its sums differ in the last bits). Entities are
+    padded into one 2-D ``np.cumsum`` per power-of-two length class, so
+    padding at most doubles the work."""
+    out = np.empty(len(v), dtype=np.float64)
+    lengths = np.diff(first, append=len(v))
+    cls = np.frexp(lengths)[1]
+    for c in np.unique(cls):
+        sel = np.flatnonzero(cls == c)
+        col = np.arange(lengths[sel].max())
+        valid = col < lengths[sel][:, None]
+        idx = (first[sel][:, None] + col)[valid]
+        padded = np.zeros(valid.shape, dtype=np.float64)
+        padded[valid] = v[idx]
+        out[idx] = np.cumsum(padded, axis=1)[valid]
+    return out
+
+
+def _frame_sum(csum: np.ndarray, starts: np.ndarray, lo: np.ndarray,
+               hi: np.ndarray) -> np.ndarray:
+    """``Σ v[lo:hi]`` per row from per-entity prefix sums ``csum``
+    (``starts``: each row's entity start; an empty prefix is 0)."""
+    return csum[hi - 1] - np.where(lo > starts, csum[lo - 1], 0.0)
 
 
 def lag_lead(ds, *, by: str, order: str, cols: list[str], lags=(1,), leads=(1,),
@@ -134,7 +189,7 @@ def rolling_range_agg(ds, *, by: str, order: str, value: str | None, window: pd.
     ROW`` exactly — including *peer rows*: every row whose timestamp
     equals the current row's is inside the frame, which pandas'
     ``rolling`` cannot express; implemented with two vectorized
-    ``searchsorted`` bounds per entity over prefix sums.
+    ``searchsorted`` bounds per block over per-entity prefix sums.
     """
     if agg not in ("count", "sum", "mean"):
         raise ValueError("agg must be count/sum/mean")
@@ -142,24 +197,15 @@ def rolling_range_agg(ds, *, by: str, order: str, value: str | None, window: pd.
 
     def fn(df: pd.DataFrame) -> pd.DataFrame:
         df = _sorted(df, by, order, tiebreak)
-        results = np.empty(len(df), dtype=np.float64)
-        pos = 0
-        for _, g in df.groupby(by, sort=False):
-            ts = g[order].to_numpy()
-            lo = np.searchsorted(ts, ts - window, side="left")
-            hi = np.searchsorted(ts, ts, side="right")  # includes ts-peers
-            n = hi - lo
-            if agg == "count":
-                out = n.astype(np.float64)
-            else:
-                csum = np.concatenate([[0.0], np.cumsum(g[value].to_numpy(dtype=np.float64))])
-                s = csum[hi] - csum[lo]
-                out = s if agg == "sum" else s / np.maximum(n, 1)
-            results[pos : pos + len(g)] = out
-            pos += len(g)
-        df[out_col] = results
+        codes, first = _entities(df, by)
+        lo, hi = _range_frames(codes, df[order].to_numpy(), window)
+        n = hi - lo
         if agg == "count":
-            df[out_col] = df[out_col].astype("int64")
+            df[out_col] = n.astype("int64")
+            return df
+        csum = _entity_cumsum(df[value].to_numpy(dtype=np.float64), first)
+        s = _frame_sum(csum, first[codes], lo, hi)
+        df[out_col] = s if agg == "sum" else s / np.maximum(n, 1)
         return df
 
     return partitioned_apply(ds, by, fn, num_partitions)
@@ -174,8 +220,8 @@ def rolling_rows_agg(ds, *, by: str, order: str, value: str, k: int,
     CURRENT ROW`` (the positional counterpart of
     :func:`rolling_range_agg`'s RANGE frame).  ROWS frames depend on
     the physical order, so ``tiebreak`` must pin a total order — same
-    discipline as the rank family.  Vectorized per entity with one
-    prefix-sum + clamped index diff."""
+    discipline as the rank family.  Vectorized per block with per-entity
+    prefix sums + a clamped index diff."""
     if agg not in ("count", "sum", "mean"):
         raise ValueError("agg must be count/sum/mean")
     if k < 0:
@@ -184,24 +230,17 @@ def rolling_rows_agg(ds, *, by: str, order: str, value: str, k: int,
 
     def fn(df: pd.DataFrame) -> pd.DataFrame:
         df = _sorted(df, by, order, tiebreak)
-        results = np.empty(len(df), dtype=np.float64)
-        pos = 0
-        for _, g in df.groupby(by, sort=False):
-            i = np.arange(len(g))
-            lo = np.maximum(0, i - k)
-            n = i - lo + 1
-            if agg == "count":
-                out = n.astype(np.float64)
-            else:
-                csum = np.concatenate(
-                    [[0.0], np.cumsum(g[value].to_numpy(dtype=np.float64))])
-                s = csum[i + 1] - csum[lo]
-                out = s if agg == "sum" else s / n
-            results[pos:pos + len(g)] = out
-            pos += len(g)
-        df[out_col] = results
+        codes, first = _entities(df, by)
+        starts = first[codes]
+        i = np.arange(len(df))
+        lo = np.maximum(starts, i - k)
+        n = i - lo + 1
         if agg == "count":
-            df[out_col] = df[out_col].astype("int64")
+            df[out_col] = n.astype("int64")
+            return df
+        csum = _entity_cumsum(df[value].to_numpy(dtype=np.float64), first)
+        s = _frame_sum(csum, starts, lo, i + 1)
+        df[out_col] = s if agg == "sum" else s / n
         return df
 
     return partitioned_apply(ds, by, fn, num_partitions)
@@ -246,10 +285,12 @@ def ewma_range(ds, *, by: str, order: str, value: str, window: pd.Timedelta,
     exp() and libm's can disagree by 1 ulp; the quantum absorbs it —
     flip probability ~1e-12 per addend, measured).
 
-    Scale shape: one entity hash exchange; per entity the pair count is
-    Σ window occupancy (bounded by rows × the entity's max events per
-    ``window``), built with vectorized searchsorted + repeat — no
-    Python loop over rows.  Output: input columns +
+    Scale shape: one entity hash exchange; the (row, frame-row) pairs
+    number Σ window occupancy (bounded by rows × the entity's max events
+    per ``window``) and are built with vectorized searchsorted + repeat
+    over slices of rows of at most ``_EWMA_PAIR_BUDGET`` pairs, so peak
+    memory does not grow with the block — no Python loop over rows or
+    entities.  Output: input columns +
     ``{out_col}_micro{decimals}`` (int64 — the ratio at 10^decimals
     scale, rounded half-away in exact integer arithmetic) +
     ``{out_col}_n`` (int64 frame size)."""
@@ -258,41 +299,50 @@ def ewma_range(ds, *, by: str, order: str, value: str, window: pd.Timedelta,
 
     def fn(df: pd.DataFrame) -> pd.DataFrame:
         df = _sorted(df, by, order, tiebreak)
+        codes, _ = _entities(df, by)
+        ts = df[order].to_numpy()
+        v = df[value].to_numpy(dtype=np.float64)
+        lo, hi = _range_frames(codes, ts, window)
+        cnt = hi - lo
+        ends = np.cumsum(cnt)  # pairs through each row
         num = np.empty(len(df), dtype=np.float64)
         den = np.empty(len(df), dtype=np.float64)
-        cnt = np.empty(len(df), dtype=np.int64)
-        pos = 0
-        for _, g in df.groupby(by, sort=False):
-            ts = g[order].to_numpy()
-            v = g[value].to_numpy(dtype=np.float64)
-            lo = np.searchsorted(ts, ts - window, side="left")
-            hi = np.searchsorted(ts, ts, side="right")  # ts-peers in frame
-            n = hi - lo
-            total = int(n.sum())
-            ii = np.repeat(np.arange(len(g)), n)
-            offs = np.concatenate([[0], np.cumsum(n)[:-1]])
-            jj = np.arange(total) - np.repeat(offs, n) + np.repeat(lo, n)
-            dt = (ts[ii] - ts[jj]).astype("timedelta64[us]").astype(np.int64)
+        a = 0
+        while a < len(df):
+            # rows [a, b) hold at most the pair budget (or one row); each
+            # row's sums need only its own pairs
+            done = int(ends[a - 1]) if a else 0
+            b = max(a + 1, int(np.searchsorted(ends, done + _EWMA_PAIR_BUDGET, side="right")))
+            n = cnt[a:b]
+            ii = np.repeat(np.arange(b - a), n)
+            # pair k of row i: frame row lo[i] + (k − first pair of row i)
+            jj = (np.arange(int(ends[b - 1]) - done)
+                  + np.repeat(lo[a:b] - (ends[a:b] - n - done), n))
+            dt = (ts[ii + a] - ts[jj]).astype("timedelta64[us]").astype(np.int64)
             w = np.exp(-(dt.astype(np.float64)) / tau_us)
             aw = _round_half_away(w * _scale)          # int-valued doubles;
             av = _round_half_away(v[jj] * w * _scale)  # sums < 2^53 ⇒ exact
-            num[pos:pos + len(g)] = np.bincount(ii, weights=av,
-                                                minlength=len(g))
-            den[pos:pos + len(g)] = np.bincount(ii, weights=aw,
-                                                minlength=len(g))
-            cnt[pos:pos + len(g)] = n
-            pos += len(g)
+            num[a:b] = np.bincount(ii, weights=av, minlength=b - a)
+            den[a:b] = np.bincount(ii, weights=aw, minlength=b - a)
+            a = b
         # the rounded ratio is emitted as an EXACT integer at 10^decimals
         # scale, computed in integer arithmetic (round half away from
         # zero): a float ratio rounded at 6 dp can land exactly on a
         # .5 boundary where numpy (half-even) and SQL (half-away)
-        # disagree — measured once in 10k rows at sf0.01
+        # disagree — measured once in 10k rows at sf0.01. Dividing
+        # first keeps every intermediate below den·2·10^decimals, where
+        # 2·|num|·10^decimals would wrap int64 once |num| passes ~4.6e12.
         S = 10 ** decimals
         num_i = num.astype(np.int64)
         den_i = den.astype(np.int64)
-        r = (2 * np.abs(num_i) * S + den_i) // (2 * den_i)
+        q, rem = np.divmod(np.abs(num_i), den_i)
+        if len(q) and q.max() > (np.iinfo(np.int64).max - S) // S:
+            raise OverflowError(
+                f"ewma_range: an EWMA of magnitude {int(q.max())} does not fit "
+                f"int64 at 10^{decimals} scale")
+        r = q * S + (2 * rem * S + den_i) // (2 * den_i)
         df[out_col + f"_micro{decimals}"] = np.sign(num_i) * r
-        df[out_col + "_n"] = cnt
+        df[out_col + "_n"] = cnt.astype(np.int64)
         return df
 
     return partitioned_apply(ds, by, fn, num_partitions)
@@ -312,29 +362,31 @@ def resample_grid(ds, *, by: str, order: str, value: str, freq: pd.Timedelta,
     order.  SQL replays with generate_series + ASOF JOIN over the same
     MAX() pre-aggregate.
 
-    Output: ``by``, ``grid_ts``, ``out_value`` — one row per grid
-    point per entity.  Scale shape: one entity hash exchange; the grid
-    is generated inside the partition (never materialized globally);
-    grid size per entity is span/freq, the caller's knob."""
+    Output: ``by``, ``grid_ts`` (``datetime64[ns]`` in every block),
+    ``out_value`` — one row per grid point per entity.  Scale shape: one
+    entity hash exchange; the grid is generated inside the block (never
+    materialized globally); grid size per entity is span/freq, the
+    caller's knob."""
+
+    freq_ns = pd.Timedelta(freq).value
 
     def fn(df: pd.DataFrame) -> pd.DataFrame:
         df = (df.groupby([by, order], as_index=False)[value].max()
               .sort_values([by, order], kind="mergesort"))
-        outs = []
-        for key, g in df.groupby(by, sort=False):
-            grid = pd.date_range(g[order].iloc[0], g[order].iloc[-1],
-                                 freq=freq)
-            idx = np.searchsorted(g[order].to_numpy(), grid.to_numpy(),
-                                  side="right") - 1
-            outs.append(pd.DataFrame({
-                by: key, "grid_ts": grid,
-                out_value: g[value].to_numpy()[idx],
-            }))
-        if not outs:
-            return pd.DataFrame({by: pd.Series([], dtype=df[by].dtype),
-                                 "grid_ts": pd.Series([], dtype="datetime64[us]"),
-                                 out_value: pd.Series([], dtype="float64")})
-        return pd.concat(outs, ignore_index=True)
+        codes, first = _entities(df, by)
+        t = as_i8(df[order].to_numpy())
+        last = first + np.diff(first, append=len(df)) - 1
+        npts = (t[last] - t[first]) // freq_ns + 1
+        ent = np.repeat(np.arange(len(first)), npts)
+        k = np.arange(len(ent)) - np.repeat(np.cumsum(npts) - npts, npts)
+        grid = t[first][ent] + k * freq_ns
+        pack = rank_packer(t, grid)
+        idx = np.searchsorted(pack(codes, t), pack(ent, grid), side="right") - 1
+        return pd.DataFrame({
+            by: df[by].to_numpy()[first][ent],
+            "grid_ts": grid.view("datetime64[ns]"),
+            out_value: df[value].to_numpy()[idx],
+        })
 
     return partitioned_apply(ds, by, fn, num_partitions)
 
