@@ -52,26 +52,35 @@ def grouped_ols(ds, *, keys, x: str, y: str, decimals: int = 6):
 
     Output: keys, ``slope``, ``intercept``, ``r2``, ``n_rows``.
     Degenerate groups (zero x-variance) raise — a constant regressor
-    is a caller bug, not a NaN to propagate silently."""
+    is a caller bug, not a NaN to propagate silently. A group with zero
+    y-variance is fit exactly: ``r2 = 1``, as DuckDB's ``REGR_R2``
+    returns, not the 0/0 of the closed form. A variance counts as zero
+    when it is within the rounding of its raw moments: ``nΣv² − (Σv)²``
+    of ``n`` equal values stays within ``4n·ε·nΣv²`` of 0."""
     keys = [keys] if isinstance(keys, str) else list(keys)
     agg = _moment_partials(ds, keys, x, y)
+
+    def flat(n, s, ss):
+        v = n * ss - s * s
+        return v, v <= 4 * n * np.finfo(np.float64).eps * n * ss
 
     def finish(df: pd.DataFrame) -> pd.DataFrame:
         n = df["sum(n)"].to_numpy(dtype=np.float64)
         sx, sy = df["sum(sx)"].to_numpy(), df["sum(sy)"].to_numpy()
         sxx, syy, sxy = (df["sum(sxx)"].to_numpy(), df["sum(syy)"].to_numpy(),
                          df["sum(sxy)"].to_numpy())
-        vx = n * sxx - sx * sx
-        if np.any(vx <= 0):
+        vx, flat_x = flat(n, sx, sxx)
+        if np.any(flat_x):
             raise ValueError(f"grouped_ols: zero variance in {x!r} "
                              "for at least one group")
+        vy, flat_y = flat(n, sy, syy)
         cov = n * sxy - sx * sy
         slope = cov / vx
         out = df[keys].copy()
         out["slope"] = np.round(slope, decimals)
         out["intercept"] = np.round((sy - slope * sx) / n, decimals)
-        out["r2"] = np.round((cov * cov) / (vx * (n * syy - sy * sy)),
-                             decimals)
+        vy[flat_y] = 1.0  # the fit is exact: r2 is pinned to 1 below
+        out["r2"] = np.round(np.where(flat_y, 1.0, cov * cov / (vx * vy)), decimals)
         out["n_rows"] = df["sum(n)"].astype("int64")
         return out
 

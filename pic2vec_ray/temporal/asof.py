@@ -6,19 +6,28 @@ right row of the same entity with ``right_ts <= left_ts`` (backward;
 variant — the zero-temporal-leakage invariant is simply this flag, and
 tests assert every joined ``right_ts`` obeys the bound).
 
-Two physical plans, chosen by ``broadcast``:
+Two physical plans, chosen by ``broadcast``, share one Arrow kernel
+(``_merge``): ``pd.merge_asof`` runs on a narrow frame of the key
+columns, the times and a row index, and every output column is then an
+Arrow ``take``. No value column goes through pandas.
 
-- **broadcast** (small right side): materialize + sort the right table
-  once, ``ray.put`` it, and run a shuffle-free ``map_batches`` doing a
-  per-batch sorted ``pd.merge_asof`` against the shared copy. The
-  object-store reference is fetched zero-copy per task — the small
-  side is shipped once per node, not per batch.
-- **shuffle** (both sides large): tag each side, align schemas with
-  typed Arrow nulls, union, hash-partition on the entity key
-  (``partitioned_apply``'s key), sort on it, and run one sorted
-  ``merge_asof`` per sorted block. One all-to-all exchange; a block
-  holds whole partitions and partitions are entity-disjoint, so the
-  merge is local and exact.
+- **broadcast** (small right side): sort the right side once as an
+  Arrow table and ``ray.put`` it; a shuffle-free ``map_batches``
+  probes it. Each worker fetches it zero-copy and builds its key frame
+  once, not per batch.
+- **shuffle** (both sides large): align both sides to one Arrow schema
+  (typed nulls for the other side's columns), union, hash-partition on
+  the entity key, sort on it, and merge once per sorted block. One
+  all-to-all exchange; a block holds whole partitions and partitions
+  are entity-disjoint, so the merge is local and exact.
+
+A ``fixed_size_list`` value column (an embedding) leaves as ``list``
+in both plans, and in the shuffle it is widened before the exchange, so
+a left row carries a zero-length null instead of a vector of zeros. A
+left row without a match gets a zero-length null too: pyarrow 16.1's
+parquet writer rejects a ``fixed_size_list`` (or its cast to ``list``)
+with a null before a non-null slot ("Lists with non-zero length null
+components"), and Ray's ``TensorArray`` cast fails on it as well.
 
 Skew (hot ``phash``-style keys, north_rule): ``salt`` splits each hot
 key's LEFT rows across ``salt`` sub-partitions and replicates the hot
@@ -31,41 +40,15 @@ left rows of its own sub-partition.
 
 from __future__ import annotations
 
+import functools
+
+import numpy as np
 import pandas as pd
 import pyarrow as pa
 
 from .core import (DEFAULT_PARTITIONS, PART_COL, SIDE_COL, add_partition_column,
-                   block_apply, restore_int_dtypes, union_sides)
-
-BROADCAST_MAX_BYTES = 64 << 20  # right sides under this go via ray.put
-
-
-def _arrow_schema(ds) -> pa.Schema:
-    s = ds.schema()
-    if s is None:
-        raise ValueError(
-            "dataset has no resolvable schema — Ray reports None for empty "
-            "datasets, so an asof_join side must contain at least one row "
-            "(join with an empty side is degenerate: filter it out upstream "
-            "or skip the join)"
-        )
-    try:
-        return pa.schema(list(zip(s.names, s.types)))
-    except TypeError:
-        # pandas-backed datasets report object columns as Python classes;
-        # fall back to one real Arrow batch (1 row) for the true schema.
-        tbl = next(iter(ds.limit(1).iter_batches(batch_size=1, batch_format="pyarrow")))
-        return tbl.schema
-
-
-def _rename(ds, mapping: dict):
-    """Portable rename: Dataset.rename_columns assumes Arrow blocks and
-    breaks on pandas-backed datasets; a pyarrow map_batches works for both."""
-
-    def fn(t: pa.Table) -> pa.Table:
-        return t.rename_columns([mapping.get(n, n) for n in t.column_names])
-
-    return ds.map_batches(fn, batch_format="pyarrow")
+                   arrow_schema, block_apply, mark_nullable_ints, rename_columns,
+                   small_materialized, union_sides)
 
 
 def asof_join(
@@ -91,16 +74,12 @@ def asof_join(
     right_by = right_by or by
     ron = on + suffix
 
-    rename = {}
-    if right_by != by:
-        rename[right_by] = by
-    if right_on != ron:
-        rename[right_on] = ron
+    rename = {k: v for k, v in ((right_by, by), (right_on, ron)) if k != v}
     if rename:
-        right = _rename(right, rename)
+        right = rename_columns(right, rename)
 
-    left_schema = _arrow_schema(left)
-    right_schema = _arrow_schema(right)
+    left_schema = arrow_schema(left)
+    right_schema = arrow_schema(right)
     for name, schema, side in ((on, left_schema, "left"), (by, left_schema, "left"),
                                (ron, right_schema, "right"), (by, right_schema, "right")):
         if name not in schema.names:
@@ -112,77 +91,95 @@ def asof_join(
     value_cols = [n for n in right_schema.names if n not in (by, ron)]
     clashes = [c for c in value_cols if c in left_schema.names]
     if clashes:
-        right = _rename(right, {c: c + suffix for c in clashes})
-        right_schema = _arrow_schema(right)
+        right = rename_columns(right, {c: c + suffix for c in clashes})
+        right_schema = arrow_schema(right)
         value_cols = [n for n in right_schema.names if n not in (by, ron)]
 
     if broadcast == "auto":
-        # plan selection from metadata only: broadcast when the right
-        # side is ALREADY MATERIALIZED and comfortably single-node
-        # (size_bytes on a lazy lineage would trigger an execution just
-        # to pick a plan); anything lazy or big takes the shuffle plan,
-        # which is always correct.
-        from ray.data.dataset import MaterializedDataset
-
-        nbytes = (right.size_bytes()
-                  if isinstance(right, MaterializedDataset) else None)
-        broadcast = nbytes is not None and nbytes <= BROADCAST_MAX_BYTES
+        broadcast = small_materialized(right)
+    asof = dict(left_on=on, right_on=ron, allow_exact_matches=allow_exact_matches,
+                direction=direction, tolerance=tolerance)
     if broadcast:
-        return _asof_broadcast(left, right, on, by, ron, value_cols,
-                               allow_exact_matches, direction, tolerance)
+        return _asof_broadcast(left, right, left_schema, on, by, ron, asof)
     return _asof_shuffle(left, right, left_schema, right_schema, on, by, ron,
-                         value_cols, allow_exact_matches, direction, tolerance,
-                         num_partitions, hot_keys, salt)
+                         value_cols, asof, num_partitions, hot_keys, salt)
 
 
-def _asof_broadcast(left, right, on, by, ron, value_cols, allow_exact, direction, tolerance):
+def _widen(t: pa.DataType) -> pa.DataType:
+    """``fixed_size_list`` -> ``list``, whose null slot has zero length."""
+    return pa.list_(t.value_field) if pa.types.is_fixed_size_list(t) else t
+
+
+def _keys(table: pa.Table, cols: list[str], row: str, rows: np.ndarray) -> pd.DataFrame:
+    """The narrow frame ``merge_asof`` runs on: ``cols`` of ``table``'s
+    ``rows`` and, in ``row``, each one's index into ``table``."""
+    df = table.select(cols).take(rows).to_pandas()
+    df[row] = rows
+    return df
+
+
+def _merge(left: pa.Table, lrows, right: pa.Table, rkeys: pd.DataFrame,
+           by: list[str], out: pa.Schema, rcols: list[str], asof: dict) -> pa.Table:
+    """The as-of kernel of both plans. ``pd.merge_asof`` pairs ``left``'s
+    ``lrows`` with ``rkeys`` (``_keys`` of ``right``, sorted on its
+    time); no value column enters pandas. The output takes ``left`` in
+    merge order and each of ``right``'s ``rcols`` with a null index for
+    a row without a match."""
+    if not len(lrows):
+        return out.empty_table()
+    on = asof["left_on"]
+    lkeys = _keys(left, by + [on], "__lrow", lrows).sort_values(on, kind="mergesort")
+    m = pd.merge_asof(lkeys, rkeys, by=by, **asof)
+    hit = pa.array(m["__rrow"].astype("Int64"))  # null where no right row matched
+    lorder = m["__lrow"].to_numpy()
+    lnames = out.names[:len(out) - len(rcols)]
+    cols = [left[c].take(lorder) for c in lnames] + [right[c].take(hit) for c in rcols]
+    return mark_nullable_ints(pa.Table.from_arrays(cols, names=out.names), lnames)
+
+
+@functools.lru_cache(maxsize=1)
+def _broadcast_side(ref, by: str, ron: str):
+    """A broadcast right side and its key frame, built once per worker
+    process, not per batch (``maxsize=1``: only the latest is kept)."""
     import ray
 
-    rdf = right.to_pandas().sort_values(ron, kind="mergesort").reset_index(drop=True)
-    ref = ray.put(rdf)
+    table = ray.get(ref)
+    return table, _keys(table, [by, ron], "__rrow", np.arange(len(table)))
 
-    def probe(batch: pd.DataFrame) -> pd.DataFrame:
-        r = ray.get(ref)
-        if r[ron].dtype != batch[on].dtype:  # unify mixed timestamp units
-            r = r.assign(**{ron: r[ron].astype(batch[on].dtype)})
-        b = batch.sort_values(on, kind="mergesort")
-        return pd.merge_asof(
-            b, r, left_on=on, right_on=ron, by=by,
-            allow_exact_matches=allow_exact, direction=direction, tolerance=tolerance,
-        )
 
-    return left.map_batches(probe, batch_format="pandas")
+def _asof_broadcast(left, right, left_schema, on, by, ron, asof):
+    import ray
+
+    rt = pa.concat_tables(ray.get(right.to_arrow_refs()), promote_options="permissive")
+    # the matched time adopts the left `on` type (mixed s/ns units)
+    rt = rt.cast(pa.schema([pa.field(ron, left_schema.field(on).type) if f.name == ron
+                            else pa.field(f.name, _widen(f.type)) for f in rt.schema]))
+    ref = ray.put(rt.sort_by(ron))
+    rcols = [c for c in rt.column_names if c != by]
+    out = pa.schema(list(left_schema) + [rt.schema.field(c) for c in rcols])
+
+    def probe(batch: pa.Table) -> pa.Table:
+        table, rkeys = _broadcast_side(ref, by, ron)
+        return _merge(batch, np.arange(len(batch)), table, rkeys, [by], out, rcols, asof)
+
+    return left.map_batches(probe, batch_format="pyarrow")
 
 
 def _asof_shuffle(left, right, left_schema, right_schema, on, by, ron, value_cols,
-                  allow_exact, direction, tolerance, num_partitions, hot_keys, salt):
-    # the matched-timestamp column adopts the LEFT side's `on` type so
-    # mixed timestamp units (s vs ns) can't poison the partition merge
-    unified = pa.schema(
-        list(left_schema)
-        + [pa.field(ron, left_schema.field(on).type)]
-        + [right_schema.field(c) for c in value_cols]
-    )
-    tagged = add_partition_column(union_sides(left, right, unified), by,
+                  asof, num_partitions, hot_keys, salt):
+    # left rows carry each value column as a null: widened, that null is
+    # zero-length through align, tag, sort and merge
+    out = pa.schema(list(left_schema) + [pa.field(ron, left_schema.field(on).type)]
+                    + [pa.field(c, _widen(right_schema.field(c).type)) for c in value_cols])
+    tagged = add_partition_column(union_sides(left, right, out), by,
                                   num_partitions, hot_keys, salt)
-    lcols = list(left_schema.names) + [PART_COL]  # `on` is a left column
-    rcols = [by, PART_COL, ron] + value_cols
-    int_like = {
-        f.name: str(f.type)
-        for f in left_schema
-        if pa.types.is_integer(f.type)
-    }
+    keys = [by, PART_COL]
 
-    def merge(block: pd.DataFrame) -> pd.DataFrame:
+    def merge(block: pa.Table) -> pa.Table:
         side = block[SIDE_COL].to_numpy()
-        l = block.loc[side == 0, lcols].sort_values(on, kind="mergesort")
-        r = block.loc[side == 1, rcols].sort_values(ron, kind="mergesort")
-        out = pd.merge_asof(
-            l, r, left_on=on, right_on=ron, by=[by, PART_COL],
-            allow_exact_matches=allow_exact, direction=direction, tolerance=tolerance,
-        )
-        # union-with-nulls upcast int64→float64 in pandas; restore exact
-        # dtypes (nullable-safe: a left int column may itself hold nulls).
-        return restore_int_dtypes(out.drop(columns=[PART_COL]), int_like)
+        rkeys = _keys(block, keys + [ron], "__rrow", np.flatnonzero(side == 1))
+        return _merge(block, np.flatnonzero(side == 0), block,
+                      rkeys.sort_values(ron, kind="mergesort"), keys, out,
+                      [ron] + value_cols, asof)
 
-    return block_apply(tagged, merge)
+    return block_apply(tagged, merge, batch_format="pyarrow")

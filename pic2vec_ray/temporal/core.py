@@ -15,6 +15,7 @@ processes (fixed-key siphash), vectorized, available on workers.
 
 from __future__ import annotations
 
+import json
 from typing import Callable
 
 import numpy as np
@@ -24,6 +25,47 @@ import pyarrow as pa
 DEFAULT_PARTITIONS = 64
 PART_COL = "__part"
 SIDE_COL = "__side"  # 0 = left (probe) row, 1 = right (build) row
+BROADCAST_MAX_BYTES = 64 << 20  # right sides under this go via ray.put
+
+
+def arrow_schema(ds) -> pa.Schema:
+    s = ds.schema()
+    if s is None:
+        raise ValueError(
+            "dataset has no resolvable schema — Ray reports None for empty "
+            "datasets, so each side of a join must contain at least one row "
+            "(a join with an empty side is degenerate: filter it out upstream "
+            "or skip the join)"
+        )
+    try:
+        return pa.schema(list(zip(s.names, s.types)))
+    except TypeError:
+        # pandas-backed datasets report object columns as Python classes;
+        # fall back to one real Arrow batch (1 row) for the true schema.
+        tbl = next(iter(ds.limit(1).iter_batches(batch_size=1, batch_format="pyarrow")))
+        return tbl.schema
+
+
+def rename_columns(ds, mapping: dict):
+    """Portable rename: Dataset.rename_columns assumes Arrow blocks and
+    breaks on pandas-backed datasets; a pyarrow map_batches works for both."""
+
+    def fn(t: pa.Table) -> pa.Table:
+        return t.rename_columns([mapping.get(n, n) for n in t.column_names])
+
+    return ds.map_batches(fn, batch_format="pyarrow")
+
+
+def small_materialized(right) -> bool:
+    """The ``broadcast="auto"`` rule of the joins, from metadata only:
+    broadcast when the right side is ALREADY MATERIALIZED and
+    comfortably single-node (``size_bytes`` on a lazy lineage would
+    trigger an execution just to pick a plan); anything lazy or big
+    takes the shuffle plan, which is always correct."""
+    from ray.data.dataset import MaterializedDataset
+
+    return (isinstance(right, MaterializedDataset)
+            and right.size_bytes() <= BROADCAST_MAX_BYTES)
 
 
 def hash_partition_ids(df: pd.DataFrame, by: str | list[str], num_partitions: int) -> pd.Series:
@@ -93,15 +135,17 @@ def union_sides(left, right, unified: pa.Schema):
         right.map_batches(align(1), batch_format="pyarrow"))
 
 
-def block_apply(tagged, fn: Callable[[pd.DataFrame], pd.DataFrame]):
+def block_apply(tagged, fn: Callable, batch_format: str = "pandas"):
     """Sort a ``__part``-tagged dataset and run ``fn`` once per sorted
-    block. A ``__part`` value never spans two sort output blocks (Ray's
-    own ``map_groups`` relies on this), so ``fn`` sees every row of each
-    partition it is given — but it may be given several partitions at
-    once, or an empty frame, and must key its work on the entity (or on
-    ``__part`` itself, where salted sub-partitions of one entity must
-    stay apart). One call per block, not one per partition."""
-    return tagged.sort(PART_COL).map_batches(fn, batch_size=None, batch_format="pandas")
+    block, given as a ``batch_format`` batch. A ``__part`` value never
+    spans two sort output blocks (Ray's own ``map_groups`` relies on
+    this), so ``fn`` sees every row of each partition it is given — but
+    it may be given several partitions at once, and must key its work on
+    the entity (or on ``__part`` itself, where salted sub-partitions of
+    one entity must stay apart). One call per block, not one per
+    partition. Ray passes a block without rows on without calling
+    ``fn``, as a block without columns."""
+    return tagged.sort(PART_COL).map_batches(fn, batch_size=None, batch_format=batch_format)
 
 
 def as_i8(values) -> np.ndarray:
@@ -166,6 +210,24 @@ def restore_int_dtypes(df: pd.DataFrame, int_like: dict[str, str],
         else:
             df[c] = df[c].astype(t)
     return df
+
+
+def mark_nullable_ints(table: pa.Table, names: list[str]) -> pa.Table:
+    """The Arrow form of ``restore_int_dtypes``: name each int column of
+    ``names`` that holds a null in this table with pandas' nullable
+    dtype in the table's pandas metadata, so that ``to_pandas()`` gives
+    ``Int64`` with exact values instead of float64. Arrow types and
+    values are unchanged."""
+    cols = []
+    for n in names:
+        t = table.schema.field(n).type
+        if pa.types.is_integer(t) and table[n].null_count:
+            cols.append({"name": n, "field_name": n, "pandas_type": str(t),
+                         "numpy_type": _NULLABLE_INT.get(str(t), "Int64"), "metadata": None})
+    if not cols:
+        return table
+    meta = {"index_columns": [], "column_indexes": [], "columns": cols}
+    return table.replace_schema_metadata({"pandas": json.dumps(meta)})
 
 
 def suggest_partitions(inputs, num_cpus: int | None = None,

@@ -17,9 +17,9 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from .asof import _arrow_schema, _rename
-from .core import (DEFAULT_PARTITIONS, PART_COL, SIDE_COL, add_partition_column, as_i8,
-                   block_apply, rank_packer, restore_int_dtypes, union_sides)
+from .core import (DEFAULT_PARTITIONS, PART_COL, SIDE_COL, add_partition_column,
+                   arrow_schema, as_i8, block_apply, rank_packer, rename_columns,
+                   restore_int_dtypes, small_materialized, union_sides)
 
 
 def _union_tagged(left, right, keys: list[str], suffix: str, num_partitions: int,
@@ -43,13 +43,13 @@ def _union_tagged(left, right, keys: list[str], suffix: str, num_partitions: int
     assignment yields the same result set. Sub-partitions of one hot
     key can share a sorted block, so every merge keys on ``__part``
     as well as the join keys."""
-    left_schema = _arrow_schema(left)
-    right_schema = _arrow_schema(right)
+    left_schema = arrow_schema(left)
+    right_schema = arrow_schema(right)
     value_cols = [n for n in right_schema.names if n not in keys]
     clashes = [c for c in value_cols if c in left_schema.names]
     if clashes:
-        right = _rename(right, {c: c + suffix for c in clashes})
-        right_schema = _arrow_schema(right)
+        right = rename_columns(right, {c: c + suffix for c in clashes})
+        right_schema = arrow_schema(right)
         value_cols = [n for n in right_schema.names if n not in keys]
 
     unified = pa.schema(
@@ -70,7 +70,7 @@ def _hash_join_broadcast(left, right, keys: list[str], how: str, suffix: str):
 
     import ray
 
-    left_schema = _arrow_schema(left)
+    left_schema = arrow_schema(left)
     rdf = right.to_pandas()
     clashes = [c for c in rdf.columns if c not in keys and c in left_schema.names]
     if clashes:
@@ -162,19 +162,13 @@ def hash_join(
         raise ValueError("on/right_on arity mismatch")
 
     if broadcast == "auto":
-        from .asof import BROADCAST_MAX_BYTES
-        from ray.data.dataset import MaterializedDataset
-
-        nbytes = (right.size_bytes()
-                  if isinstance(right, MaterializedDataset) else None)
-        broadcast = (how in ("inner", "left", "semi", "anti")
-                     and nbytes is not None and nbytes <= BROADCAST_MAX_BYTES)
+        broadcast = how in ("inner", "left", "semi", "anti") and small_materialized(right)
     elif broadcast and how in ("right", "outer"):
         raise ValueError("broadcast join is exact only for left-anchored "
                          "modes (inner/left/semi/anti)")
 
     if rkeys != keys:
-        right = _rename(right, dict(zip(rkeys, keys)))
+        right = rename_columns(right, dict(zip(rkeys, keys)))
     if broadcast:
         return _hash_join_broadcast(left, right, keys, how, suffix)
 

@@ -62,6 +62,27 @@ def test_grouped_ols_rejects_constant_regressor(ray_session):
         grouped_ols(rd.from_pandas(df), keys="g", x="x", y="y").to_pandas()
 
 
+def test_grouped_ols_constant_response_has_r2_one(ray_session):
+    """Constant y over varying x: the fit is exact, and DuckDB's
+    REGR_R2 returns 1 for it, not the 0/0 of the closed form."""
+    import duckdb
+    import ray.data as rd
+    from pic2vec_ray.stages.stats import grouped_ols
+
+    df = _xy(n=300, seed=3)
+    df.loc[df.g == "r", "y"] = 0.1  # Σy² and (Σy)²/n round apart
+    df.loc[df.g == "s", "y"] = -2.5
+    out = (grouped_ols(rd.from_pandas(df).repartition(5), keys="g", x="x", y="y")
+           .to_pandas().set_index("g"))
+    con = duckdb.connect()
+    con.register("df", df)
+    want = con.execute("SELECT g, regr_r2(y, x) AS r2 FROM df GROUP BY g").df().set_index("g")
+    assert want.r2["r"] == want.r2["s"] == 1.0
+    assert out.r2["r"] == out.r2["s"] == 1.0
+    assert out.slope["r"] == 0 and out.intercept["r"] == pytest.approx(0.1)
+    assert out.r2["t"] == pytest.approx(want.r2["t"], abs=1e-6)
+
+
 def test_welch_ttest_matches_closed_form(ray_session):
     import ray.data as rd
     from pic2vec_ray.stages.stats import welch_ttest

@@ -1,7 +1,7 @@
 """Featurize with one warm embedder per Ray worker process: the cache
 follows the weights file, no process outlives the Ray session, and a
-multi-column featurize at default concurrency finishes on a 2-CPU
-session."""
+multi-column featurize at default concurrency and the headline's
+featurize -> parquet -> shuffle as-of finish on a 2-CPU session."""
 
 from __future__ import annotations
 
@@ -12,6 +12,7 @@ import sys
 import time
 
 import numpy as np
+import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
 
@@ -20,6 +21,7 @@ REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DRIVER = r"""
 import sys
 
+import pyarrow as pa
 import pyarrow.parquet as pq
 import ray
 import ray.data as rd
@@ -38,8 +40,42 @@ t = t.append_column("bytes2", t["bytes"].take(rev)) \
      .append_column("rev_id", t["image_id"].take(rev))
 featurize_images(rd.from_arrow(t), image_columns=["bytes", "bytes2"]) \
     .write_parquet(f"{out}/multi")
+
+from pic2vec_ray.temporal.asof import asof_join
+from tests.test_warm_featurize import observations, version_ts
+
+def versions(b):
+    return b.append_column("ts_r", pa.array(
+        [version_ts(i) for i in b["image_id"].to_pylist()], pa.timestamp("us")))
+
+ids = pq.read_table(images, columns=["image_id"])["image_id"].to_pylist()
+pq.write_table(observations(ids), f"{out}/obs.parquet")
+right = rd.read_parquet(f"{out}/single0", columns=["image_id", "missing", "features"]) \
+    .map_batches(versions, batch_format="pyarrow").materialize()
+asof_join(rd.read_parquet(f"{out}/obs.parquet"), right, on="ts", by="image_id",
+          right_on="ts_r").write_parquet(f"{out}/asof")
 ray.shutdown()
 """
+
+# one feature version per image, 0-4 h after BASE; observations of each
+# image at 0.5, 2.5 and 6 h, so up to two come before its version, and of
+# an image without features: the as-of leaves both kinds unmatched
+BASE = np.datetime64("2024-01-01T00:00:00", "us")
+HOUR = np.timedelta64(3600, "s")
+
+
+def version_ts(image_id):
+    return BASE + sum(map(ord, image_id)) % 5 * HOUR
+
+
+def observations(ids):
+    ids = list(ids) + ["no_such_image"]
+    hours = np.array([0.5, 2.5, 6.0])
+    return pa.table({
+        "obs_id": np.arange(3 * len(ids), dtype=np.int64),
+        "image_id": np.repeat(ids, 3),
+        "ts": BASE + (np.tile(hours, len(ids)) * 3600e6).astype("timedelta64[us]"),
+    })
 
 
 def _session_members(sid: int) -> list[tuple[int, str]]:
@@ -124,6 +160,26 @@ def test_multicolumn_default_concurrency_on_two_cpus(driver_run):
         assert np.array_equal(np.asarray(r.bytes2_features), feats[r.rev_id])
         assert r.bytes_missing == single.missing[r.image_id]
         assert r.bytes2_missing == single.missing[r.rev_id]
+
+
+def test_headline_asof_on_two_cpus(driver_run):
+    """featurize -> parquet, then a shuffle as-of of observations of
+    which some have no feature version: one output row per observation,
+    no vector on an unmatched row, the featurize output's vector on a
+    matched one."""
+    _, code, log, out = driver_run
+    assert code == 0, log
+    single = pq.read_table(f"{out}/single0").to_pandas().set_index("image_id")
+    got = pq.read_table(f"{out}/asof").to_pandas().sort_values("obs_id")
+    assert got.obs_id.tolist() == list(range(3 * (len(single) + 1)))
+    version = got.image_id.map(lambda i: version_ts(i) if i in single.index else None)
+    hit = (version.notna() & (got.ts >= version)).to_numpy()
+    assert 0 < hit.sum() < len(got)
+    assert got.features[~hit].isna().all() and got.ts_r[~hit].isna().all()
+    for r in got[hit].itertuples():
+        assert r.ts_r == version_ts(r.image_id)
+        assert np.array_equal(r.features, single.features[r.image_id])
+        assert r.missing == single.missing[r.image_id]
 
 
 def test_weights_rewritten_in_place_are_reloaded(ray_session, images_dir, tmp_path):
