@@ -150,8 +150,7 @@ class ImageFeaturizer:
         """STREAMING scale sink: featurize the loaded data and write a
         table — no driver-side materialization anywhere (the 100 TB
         path; resume via ``state.checkpoint`` if needed). ``format``
-        dispatches through ``sources.sinks`` (parquet always; lance
-        when the pylance wheel is installed)."""
+        dispatches through ``sources.sinks`` (parquet is built in)."""
         if self.data is None:
             raise ValueError("must load data before featurizing (call load_data)")
         from .pipelines.featurize import featurize_images

@@ -1749,10 +1749,10 @@ def phash_dedup_groups(sf_dir: str):
     ds = _rd().read_parquet(_images(sf_dir), columns=["image_id", "bytes"])
 
     def to_key(t: pa.Table) -> pa.Table:
-        keys = pa.array([int(s.rsplit("_", 1)[1])
-                         for s in t["image_id"].to_pylist()],
-                        type=pa.int64())
-        return pa.table({"img_key": keys, "bytes": t["bytes"]})
+        digits = pc.struct_field(
+            pc.extract_regex(t["image_id"], r"_(?P<key>\d+)$"), [0])
+        return pa.table({"img_key": pc.cast(digits, pa.int64()),
+                         "bytes": t["bytes"]})
 
     keyed = ds.map_batches(to_key, batch_format="pyarrow")
     return image_neardup_groups(keyed, id_col="img_key", max_hamming=3)

@@ -41,6 +41,8 @@ planted-neardup fixture) and the driver gate at sf0.01.
 
 from __future__ import annotations
 
+from ..stages.decontam import _MAX_BUCKET_FANOUT
+
 FP_PRIME = 1099511628211           # FNV-1 prime (stages/text._FP_PRIME)
 M61 = (1 << 61) - 1                # Mersenne modulus (stages/dedup._MERSENNE)
 TWO64 = 1 << 64
@@ -299,13 +301,17 @@ GROUP BY 1, 2"""
 
 
 def minhash_decontam_sql(a, b, *, eval_source: str = "src0", k: int = 5,
-                         bands: int = 16, threshold: float = 0.5) -> str:
+                         bands: int = 16, threshold: float = 0.5,
+                         max_bucket_fanout: int = _MAX_BUCKET_FANOUT) -> str:
     """Exact oracle for ``stages/decontam.decontaminate_fuzzy`` with
     eval = ``documents.source == eval_source``: same signature /
     band-bucket / prefilter / exact-Jaccard replay as
     ``minhash_pairs_sql`` but with CROSS-SIDE candidates only
     (train × eval within a bucket), finishing with the anti join that
-    keeps un-contaminated train rows."""
+    keeps un-contaminated train rows. The engine's hot-bucket cap is
+    replayed too: a bucket with ``n_train·n_eval > max_bucket_fanout``
+    pairs only its ``GREATEST(max_bucket_fanout // n_eval, 1)``
+    smallest train ids (default: the engine's default)."""
     num_perm = len(a)
     rpb = num_perm // bands
     perm_rows = ", ".join(f"({i}, {int(a[i])}, {int(b[i])})"
@@ -322,12 +328,28 @@ bandrows AS (
          array_to_string(list_slice(s, {rpb} * bnum + 1, {rpb} * bnum + {rpb}), ',') AS bkey
   FROM sig, range({bands}) t(bnum)
 ),
+sided AS (
+  SELECT x.doc_id, x.bnum, x.bkey, d.source = '{eval_source}' AS is_eval
+  FROM bandrows x JOIN documents d ON d.doc_id = x.doc_id
+),
+bsize AS (
+  SELECT bnum, bkey, count(*) FILTER (WHERE NOT is_eval) AS n_t,
+         count(*) FILTER (WHERE is_eval) AS n_e
+  FROM sided GROUP BY bnum, bkey
+),
+kept AS (
+  SELECT t.doc_id, t.bnum, t.bkey
+  FROM (SELECT *, row_number() OVER (PARTITION BY bnum, bkey
+                                     ORDER BY doc_id) AS rk
+        FROM sided WHERE NOT is_eval) t
+  JOIN bsize c ON c.bnum = t.bnum AND c.bkey = t.bkey
+  WHERE c.n_t * c.n_e <= {max_bucket_fanout}
+     OR t.rk <= GREATEST({max_bucket_fanout} // NULLIF(c.n_e, 0), 1)
+),
 cand AS (
-  SELECT DISTINCT x.doc_id AS id_t, y.doc_id AS id_e
-  FROM bandrows x
-  JOIN documents dx ON dx.doc_id = x.doc_id AND dx.source <> '{eval_source}'
-  JOIN bandrows y ON x.bnum = y.bnum AND x.bkey = y.bkey
-  JOIN documents dy ON dy.doc_id = y.doc_id AND dy.source = '{eval_source}'
+  SELECT DISTINCT t.doc_id AS id_t, e.doc_id AS id_e
+  FROM kept t
+  JOIN sided e ON e.bnum = t.bnum AND e.bkey = t.bkey AND e.is_eval
 ),
 est AS (
   SELECT c.id_t, c.id_e,

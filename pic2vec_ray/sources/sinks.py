@@ -1,26 +1,15 @@
 """Format-agnostic table sink/source registry.
 
-``BASELINE.json``'s ``input_hint`` names a Lance table; this sandbox
-has no pylance wheel (verified: ``import lance`` fails), so the engine
-runs on a parquet layout with the identical schema — but nothing in
-the pipelines should hard-code that choice. Every pipeline-facing
-write goes through :func:`write_table` and reads through
-:func:`read_table`, which dispatch on a format registry:
-
-- ``parquet`` (default, always available): ``Dataset.write_parquet`` /
-  ``ray.data.read_parquet`` — streaming, partitioned, resumable.
-- ``lance``: registered only when the ``lance`` package imports; uses
-  ``Dataset.write_lance`` / ``ray.data.read_lance`` (Ray ships both —
-  they simply require the wheel). On a cluster with pylance installed
-  the SAME pipeline code round-trips Lance tables with zero edits.
-
-``detect_format`` sniffs an existing path (``.lance`` dataset directory
-vs parquet files) so readers can consume whichever layout is present.
+Parquet is the table contract: ``Dataset.write_parquet`` /
+``ray.data.read_parquet`` — streaming, partitioned, resumable. Every
+pipeline-facing write goes through :func:`write_table` and reads
+through :func:`read_table`, which dispatch on a format registry, so a
+further format is one :func:`register_format` call, not a pipeline
+edit.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Callable
 
 _WRITERS: dict[str, Callable] = {}
@@ -48,33 +37,18 @@ def _read_parquet(path: str, **kwargs):
 
 register_format("parquet", _write_parquet, _read_parquet)
 
-try:  # registered only when the wheel exists — no hard dependency
-    import lance  # noqa: F401
-
-    def _write_lance(ds, path: str, **kwargs):
-        return ds.write_lance(path, **kwargs)
-
-    def _read_lance(path: str, **kwargs):
-        import ray.data as rd
-
-        return rd.read_lance(path, **kwargs)
-
-    register_format("lance", _write_lance, _read_lance)
-except ImportError:
-    pass
-
 
 def write_table(ds, path: str, *, format: str = "parquet", **kwargs):
     """Write a Dataset through the registered sink for ``format``."""
     if format not in _WRITERS:
         raise ValueError(f"unknown sink format {format!r}; available: "
-                         f"{available_formats()} (lance requires the pylance wheel)")
+                         f"{available_formats()}")
     return _WRITERS[format](ds, path, **kwargs)
 
 
 def read_table(path: str, *, format: str | None = None, **kwargs):
-    """Read a table written by :func:`write_table`; sniffs the layout
-    when ``format`` is None."""
+    """Read a table written by :func:`write_table` (parquet unless
+    ``format`` names another registered source)."""
     fmt = format or detect_format(path)
     if fmt not in _READERS:
         raise ValueError(f"unknown source format {fmt!r}; available: "
@@ -83,12 +57,6 @@ def read_table(path: str, *, format: str | None = None, **kwargs):
 
 
 def detect_format(path: str) -> str:
-    """``.lance`` dataset directory → lance; anything else → parquet."""
-    if path.rstrip("/").endswith(".lance"):
-        return "lance"
-    if os.path.isdir(path) and any(
-        n in ("_versions", "_transactions") or n.endswith(".lance")
-        for n in os.listdir(path)
-    ):
-        return "lance"
+    """The layout of an existing table path: always parquet, the only
+    built-in format."""
     return "parquet"

@@ -35,6 +35,8 @@ import numpy as np
 import pandas as pd
 import ray
 
+_MAX_BUCKET_FANOUT = 100_000  # decontaminate_fuzzy's default per-bucket cap
+
 
 def word_ngrams_batch(texts: pd.Series, n: int) -> tuple[np.ndarray, np.ndarray]:
     """All word ``n``-grams of a batch of texts in one vectorized pass.
@@ -293,7 +295,7 @@ def decontaminate_fuzzy(train_ds, eval_ds, *, col: str = "text",
                         id_col: str = "doc_id", threshold: float = 0.5,
                         num_perm: int = 64, bands: int = 16,
                         shingle_k: int = 5, num_partitions: int = 64,
-                        max_bucket_fanout: int = 100_000):
+                        max_bucket_fanout: int = _MAX_BUCKET_FANOUT):
     """NEAR-duplicate decontamination: drop training documents whose
     exact character-shingle Jaccard against ANY eval document is
     ``>= threshold``, with MinHash-LSH banding as the sub-quadratic
@@ -301,135 +303,40 @@ def decontaminate_fuzzy(train_ds, eval_ds, *, col: str = "text",
     (exact n-gram overlap misses light paraphrases; public corpus
     builds run both).
 
-    Pipeline (reusing ``stages/dedup``'s signature kernels, same seeded
-    permutations, so the SQL oracle in ``pipelines/sketch_sql.
+    The pipeline is ``stages/dedup``'s MinHash engine (same seeded
+    permutations, so the SQL oracle ``pipelines/sketch_sql.
     minhash_decontam_sql`` replays every stage bit-for-bit):
 
-    1. signatures for BOTH sides (vectorized batch kernel);
-    2. band rows; candidates are CROSS-SIDE ONLY — per (band, bucket),
-       eval members × train members, capped at ``max_bucket_fanout``
-       per bucket with a logged drop count (never silent);
+    1. signatures and band rows for BOTH sides (``_minhash_stage``);
+    2. CROSS-SIDE candidates only — per bucket, train × eval members;
+       a bucket with ``n_train·n_eval > max_bucket_fanout`` keeps only
+       its ``max(max_bucket_fanout // n_eval, 1)`` smallest train ids,
+       with a logged drop count (the oracle replays the same cap);
     3. signature-agreement prefilter, then exact Jaccard verify, both
-       by pair-bounded hash joins (no corpus broadcast);
+       by pair-bounded hash joins (``_minhash_verified``);
     4. distributed ANTI join of the train side against the
        contaminated-id set (``temporal.join.hash_join(how="anti")``) —
        the contaminated set is never materialized to the driver.
 
     Returns the KEPT train rows (all train columns).
     """
-    import logging
-
     from ..temporal.join import hash_join
-    from .dedup import (_minhash_params, jaccard, minhash_signatures_batch)
+    from .dedup import _lsh_candidates, _minhash_stage, _minhash_verified
 
-    log = logging.getLogger(__name__)
-    if num_perm % bands:
-        raise ValueError("bands must divide num_perm")
-    rpb = num_perm // bands
-    a, b = _minhash_params(num_perm)
-    est_cutoff = max(0.0, threshold - 0.2)
-
-    def to_sigs(side: int):
-        def fn(batch: pd.DataFrame) -> pd.DataFrame:
-            sigs = minhash_signatures_batch(list(batch[col]), a, b, shingle_k)
-            return pd.DataFrame({id_col: batch[id_col].to_numpy(),
-                                 "sig": [s.tobytes() for s in sigs],
-                                 "__text": batch[col].to_numpy(),
-                                 "__side": np.int8(side)})
-        return fn
-
-    train_sig = train_ds.map_batches(to_sigs(0), batch_format="pandas",
-                                     batch_size=256).materialize()
-    eval_sig = eval_ds.map_batches(to_sigs(1), batch_format="pandas",
-                                   batch_size=256).materialize()
-
-    def to_bands(batch: pd.DataFrame) -> pd.DataFrame:
-        sigs = np.stack([np.frombuffer(s, dtype=np.uint64)
-                         for s in batch["sig"]])
-        n = len(batch)
-        band_ids = np.repeat(np.arange(bands), n)
-        ids = np.tile(batch[id_col].to_numpy(), bands)
-        sides = np.tile(batch["__side"].to_numpy(), bands)
-        bh = np.empty(bands * n, dtype=np.uint64)
-        for bi in range(bands):
-            seg = sigs[:, bi * rpb:(bi + 1) * rpb]
-            bh[bi * n:(bi + 1) * n] = pd.util.hash_pandas_object(
-                pd.DataFrame(seg), index=False).to_numpy()
-        out = pd.DataFrame({"band": band_ids, "band_hash": bh,
-                            id_col: ids, "__side": sides})
-        out["__part"] = ((out.band_hash ^ out.band)
-                         % num_partitions).astype("int64")
-        return out
-
-    def cross_pairs(group: pd.DataFrame) -> pd.DataFrame:
-        pairs, dropped = [], 0
-        for _, g in group.groupby(["band", "band_hash"], sort=False):
-            tr = np.sort(g.loc[g.__side == 0, id_col].unique())
-            ev = np.sort(g.loc[g.__side == 1, id_col].unique())
-            if not len(tr) or not len(ev):
-                continue
-            fan = len(tr) * len(ev)
-            if fan > max_bucket_fanout:
-                # keep a deterministic prefix of the train ids so the
-                # cap never silently depends on block order
-                keep = max(max_bucket_fanout // len(ev), 1)
-                dropped += (len(tr) - keep) * len(ev)
-                tr = tr[:keep]
-            pairs.append(pd.DataFrame({
-                "id_t": np.repeat(tr, len(ev)),
-                "id_e": np.tile(ev, len(tr)),
-            }))
-        if dropped:
-            log.warning("decontaminate_fuzzy: %d cross candidates dropped "
-                        "by max_bucket_fanout=%d", dropped, max_bucket_fanout)
-        if not pairs:
-            return pd.DataFrame({"id_t": pd.Series([], dtype="int64"),
-                                 "id_e": pd.Series([], dtype="int64")})
-        return pd.concat(pairs, ignore_index=True).drop_duplicates()
-
-    from ..temporal.core import partitioned_apply
-
-    bands_ds = (train_sig.union(eval_sig)
-                .map_batches(to_bands, batch_format="pandas")
-                .groupby("__part").map_groups(cross_pairs,
-                                              batch_format="pandas"))
-    cand = partitioned_apply(
-        bands_ds, ["id_t", "id_e"],
-        lambda df: df.drop_duplicates(),
-        num_partitions=num_partitions).materialize()
-
-    if cand.count() == 0:
+    kw = dict(col=col, id_col=id_col, num_perm=num_perm, bands=bands,
+              shingle_k=shingle_k)
+    train_sigs, train_bands = _minhash_stage(train_ds, side=0, **kw)
+    eval_sigs, eval_bands = _minhash_stage(eval_ds, side=1, **kw)
+    cand = _lsh_candidates(train_bands.union(eval_bands), ["band", "band_hash"],
+                           id_col, num_partitions=num_partitions,
+                           cross_cap=max_bucket_fanout)
+    pairs = _minhash_verified(cand, train_sigs, eval_sigs, id_col,
+                              threshold=threshold, shingle_k=shingle_k,
+                              num_partitions=num_partitions)
+    if pairs is None:
         return train_ds
-
-    def _side(side: str, src):
-        def fn(batch: pd.DataFrame) -> pd.DataFrame:
-            return batch.rename(columns={id_col: f"id_{side}",
-                                         "sig": f"sig_{side}",
-                                         "__text": f"text_{side}"}) \
-                        .drop(columns="__side")
-        return src.map_batches(fn, batch_format="pandas")
-
-    with_t = hash_join(cand, _side("t", train_sig), on="id_t",
-                       num_partitions=num_partitions).materialize()
-    with_te = hash_join(with_t, _side("e", eval_sig), on="id_e",
-                        num_partitions=num_partitions)
-
-    def verify(batch: pd.DataFrame) -> pd.DataFrame:
-        empty = pd.DataFrame({id_col: pd.Series([], dtype="int64")})
-        if batch.empty:
-            return empty
-        st = np.stack([np.frombuffer(s, dtype=np.uint64)
-                       for s in batch["sig_t"]])
-        se = np.stack([np.frombuffer(s, dtype=np.uint64)
-                       for s in batch["sig_e"]])
-        batch = batch[(st == se).mean(axis=1) >= est_cutoff]
-        if batch.empty:
-            return empty
-        jac = np.array([jaccard(x, y, shingle_k)
-                        for x, y in zip(batch.text_t, batch.text_e)])
-        out = batch.loc[jac >= threshold, ["id_t"]].drop_duplicates()
-        return out.rename(columns={"id_t": id_col})
-
-    contaminated = with_te.map_batches(verify, batch_format="pandas")
+    contaminated = pairs.map_batches(
+        lambda df: df[["id_a"]].drop_duplicates().rename(columns={"id_a": id_col}),
+        batch_format="pandas")
     return hash_join(train_ds, contaminated, on=id_col, how="anti",
                      num_partitions=num_partitions)

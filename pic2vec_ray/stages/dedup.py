@@ -1,36 +1,49 @@
 """Deduplication suite (exact, MinHash-LSH, SimHash, n-gram Jaccard,
-embedding-cosine) — the large-scale training-data operators the
-reference lacks (its only dedup is a per-batch memo,
-``/root/reference/pic2vec/feature_preprocessing.py:449-455``; SURVEY.md
-§2.7 maps the global variants to hash-partition shuffles).
+embedding-cosine, perceptual image hash) — the large-scale
+training-data operators the reference lacks (its only dedup is a
+per-batch memo in pic2vec's ``feature_preprocessing.py``; SURVEY.md
+§2.7 maps the global variants to hash-partition shuffles). Nothing in
+this module collects the corpus, the signature table or the label
+table to one node.
 
-Scale design notes (all paths are driver-collect-free — nothing in this
-module materializes the corpus, the signature table, or the label table
-on one node):
+Every near-duplicate operator is its own signature kernel and verify
+kernel around ONE candidate engine:
 
-- exact dedup is TWO-phase: a per-batch partial (drop within-batch
-  duplicates, keep min id) shrinks the shuffle, then one hash groupby
-  finishes — the salted pre-aggregate pattern, correct because
-  "first = min(id)" is associative-commutative;
-- hash groups are verified against the actual content inside the
-  group, so a 64-bit hash collision can never merge distinct texts;
-- MinHash signatures/band rows are computed vectorized per batch
-  (ONE ``hash_pandas_object`` pass per batch, ``minimum.reduceat`` per
-  doc) and shuffled only as narrow (band, band_hash, doc_id) rows;
-  candidate prefilter and exact-Jaccard verification run by
-  hash-JOINING the pair rows back to the signature / document tables
-  (``temporal.join.hash_join``) — candidates, not the corpus, bound
-  the driver-visible state;
-- SimHash is computed for the whole batch in one unpackbits+reduceat
-  pass; hamming verification popcounts with a vectorized XOR;
-- embedding near-dup defaults to random-hyperplane LSH bucketing with
-  exact in-bucket cosine (identical emit contract to the quadratic
-  broadcast path, which remains available as ``mode="exact"`` for tiny
-  corpora);
-- connected components is distributed min-label propagation with
-  label-of-label (pointer-doubling) shortcuts: labels stay a Dataset,
-  every round is joins + one groupby-min, convergence is checked with
-  a scalar count — O(log diameter) rounds, no per-round driver collect.
+- signatures are computed vectorized per batch and leave as narrow
+  ``(bucket key, id)`` band rows — text and vectors never ride the
+  band exchange;
+- ``_lsh_candidates`` runs one hash-partition exchange on the bucket
+  key and one per-bucket pair loop, then a second exchange on
+  ``(id_a, id_b)`` that drops (or counts) repeat pairs;
+- verify runs either inside the bucket, on the 64-bit hash the band
+  rows carry (``_hamming_pairs``: simhash, image hashes), or after
+  ``_join_back``, whose two pair-bounded hash joins attach each
+  member's payload (minhash signature + text, embedding vector).
+  Candidates, not the corpus, bound every intermediate. The MinHash
+  signature-agreement prefilter runs before exact Jaccard and kills
+  most false candidates.
+
+Hot buckets (a boilerplate cluster of 10⁶ near-identical docs lands
+every member in one bucket) are bounded per bucket, and the number of
+dropped candidates is logged, never silent:
+
+- ``edges="star"`` emits the m−1 edges ``(bucket min, other)``, the
+  connectivity a connected-components consumer needs. A star edge
+  that fails verification can sever a B–C link full enumeration would
+  keep; that is the standard LSH-dedup trade;
+- ``edges="all"`` enumerates the upper triangle, capped per bucket by
+  a deterministic index-distance schedule that always keeps the
+  distance-1 ring (``_enumerate_bucket_pairs``);
+- decontamination pairs train × eval members only and keeps a prefix
+  of each hot bucket's train ids (``max_bucket_fanout``), a rule its
+  SQL oracle replays.
+
+Other shapes: exact dedup is two-phase (a per-batch min-id partial,
+then one exchange on the content; groups are verified on content, so
+a 64-bit hash collision never merges distinct texts); connected
+components is distributed min-label propagation with pointer-doubling
+shortcuts — labels stay a Dataset, O(log diameter) rounds, convergence
+checked with a scalar count.
 """
 
 from __future__ import annotations
@@ -42,6 +55,7 @@ import pandas as pd
 
 _MERSENNE = (1 << 61) - 1
 _LOG = logging.getLogger(__name__)
+_BUCKET_PAIR_CAP = 1_000_000  # per-bucket candidate cap under edges="all"
 
 
 def _enumerate_bucket_pairs(ids: np.ndarray, *, edges: str,
@@ -83,8 +97,97 @@ def _enumerate_bucket_pairs(ids: np.ndarray, *, edges: str,
     return ids[ia], ids[ib], total - n
 
 
-def _stable_text_hash(s: pd.Series) -> pd.Series:
-    return pd.util.hash_pandas_object(s, index=False).astype("uint64")
+def _lsh_candidates(banded, bucket_cols: list[str], id_col: str, *,
+                    num_partitions: int, edges: str = "all",
+                    max_pairs: int | None = _BUCKET_PAIR_CAP,
+                    cross_cap: int | None = None, verify=None,
+                    count_col: str | None = None):
+    """Candidate pairs ``(id_a, id_b)`` from band rows — the one LSH
+    engine of this module.
+
+    ``banded`` holds one row per (bucket, member): the ``bucket_cols``
+    key, ``id_col``, and whatever ``verify`` reads. One exchange on the
+    bucket key; each bucket then emits ``_enumerate_bucket_pairs``
+    (``edges``, ``max_pairs``; ``id_a < id_b``) or, with ``cross_cap``,
+    the cross-side rule: ``id_a`` train (``SIDE_COL`` 0) × ``id_b`` eval
+    (``SIDE_COL`` 1), and when ``n_train·n_eval > cross_cap`` only the
+    ``max(cross_cap // n_eval, 1)`` smallest train ids. The kernel keys
+    on the bucket columns, never on ``__part``: one call may hold
+    several partitions. ``verify(pairs, rows)`` filters or annotates a
+    block's pairs from that block's rows. A second exchange on
+    ``(id_a, id_b)`` keeps one row per pair or, with ``count_col``,
+    counts the buckets the pair shares. Ids keep the dtype of
+    ``banded`` (image ids may be strings).
+    """
+    from ..temporal.core import SIDE_COL, partitioned_apply
+
+    members = [*bucket_cols, id_col] + ([SIDE_COL] if cross_cap is not None else [])
+    pair = ["id_a", "id_b"]
+
+    def bucket_pairs(df: pd.DataFrame) -> pd.DataFrame:
+        df = df.drop_duplicates(members)
+        multi = df.groupby(bucket_cols, sort=False)[id_col].transform("size") > 1
+        ia, ib, dropped = [], [], 0
+        for _, g in df[multi.to_numpy()].groupby(bucket_cols, sort=False):
+            ids = g[id_col].to_numpy()
+            if cross_cap is None:
+                a, b, d = _enumerate_bucket_pairs(
+                    np.unique(ids), edges=edges, max_pairs=max_pairs)
+            else:
+                side = g[SIDE_COL].to_numpy()
+                tr, ev = np.unique(ids[side == 0]), np.unique(ids[side == 1])
+                keep = len(tr)
+                if len(tr) * len(ev) > cross_cap:
+                    keep = max(cross_cap // len(ev), 1)
+                d = (len(tr) - keep) * len(ev)
+                a, b = np.repeat(tr[:keep], len(ev)), np.tile(ev, keep)
+            ia.append(a)
+            ib.append(b)
+            dropped += d
+        if dropped:
+            _LOG.warning(
+                "LSH bucket pair enumeration truncated: %d candidate pairs "
+                "dropped by the per-bucket cap %s", dropped,
+                max_pairs if cross_cap is None else cross_cap)
+        none = df[id_col].to_numpy()[:0]
+        out = pd.DataFrame({"id_a": np.concatenate(ia) if ia else none,
+                            "id_b": np.concatenate(ib) if ib else none})
+        if count_col is None:
+            out = out.drop_duplicates()
+        return verify(out, df) if verify else out
+
+    def merge(df: pd.DataFrame) -> pd.DataFrame:
+        if count_col is None:
+            return df.drop_duplicates(pair)
+        out = df.groupby(pair, as_index=False).size()
+        return out.rename(columns={"size": count_col}).astype({count_col: "int64"})
+
+    cand = partitioned_apply(banded, bucket_cols, bucket_pairs, num_partitions)
+    return partitioned_apply(cand, pair, merge, num_partitions)
+
+
+def _join_back(cand, payload_a, payload_b, id_col: str, cols: list[str],
+               num_partitions: int):
+    """Attach each pair member's ``cols`` as ``{col}_a`` / ``{col}_b``
+    with two pair-bounded hash joins (no corpus broadcast). The
+    candidates are materialized first — ``None`` when there are none —
+    and so is the first join, which the second join's schema resolution
+    would otherwise re-execute."""
+    from ..temporal.core import rename_columns
+    from ..temporal.join import hash_join
+
+    cand = cand.materialize()
+    if cand.count() == 0:
+        return None
+
+    def side(s: str, payload):
+        return rename_columns(payload, {id_col: f"id_{s}",
+                                        **{c: f"{c}_{s}" for c in cols}})
+
+    with_a = hash_join(cand, side("a", payload_a), on="id_a",
+                       num_partitions=num_partitions).materialize()
+    return hash_join(with_a, side("b", payload_b), on="id_b",
+                     num_partitions=num_partitions)
 
 
 def _empty_pairs_ds(extra: dict[str, str] | None = None):
@@ -102,20 +205,15 @@ def _empty_pairs_ds(extra: dict[str, str] | None = None):
 
 def dedup_exact(ds, *, col: str = "text", id_col: str = "doc_id", num_partitions: int = 64):
     """Keep exactly one row (min ``id_col``) per distinct ``col`` value."""
+    from ..temporal.core import partitioned_apply
 
-    def partial(batch: pd.DataFrame) -> pd.DataFrame:
-        batch = batch.sort_values(id_col).drop_duplicates(subset=[col], keep="first")
-        batch["__h"] = (_stable_text_hash(batch[col]) % num_partitions).astype("int64")
-        return batch
+    def first(df: pd.DataFrame) -> pd.DataFrame:
+        # run per batch (shrinks the exchange) and per partition, where
+        # the verify is on actual content, not a hash
+        return df.sort_values(id_col).drop_duplicates(subset=[col], keep="first")
 
-    def finish(group: pd.DataFrame) -> pd.DataFrame:
-        # verify on actual content, not the hash, then keep min id
-        out = group.sort_values(id_col).drop_duplicates(subset=[col], keep="first")
-        return out.drop(columns="__h")
-
-    return ds.map_batches(partial, batch_format="pandas").groupby("__h").map_groups(
-        finish, batch_format="pandas"
-    )
+    return partitioned_apply(ds.map_batches(first, batch_format="pandas"),
+                             col, first, num_partitions)
 
 
 def dedup_with_quota(ds, *, col: str = "text", id_col: str = "doc_id",
@@ -390,142 +488,109 @@ def minhash_signatures_batch(texts: list[str], a: np.ndarray, b: np.ndarray,
     return out
 
 
-def minhash_lsh_pairs(ds, *, col: str = "text", id_col: str = "doc_id",
-                      num_perm: int = 64, bands: int = 16, shingle_k: int = 5,
-                      threshold: float = 0.5, num_partitions: int = 64,
-                      edges: str = "all",
-                      max_bucket_pairs: int | None = 1_000_000):
-    """MinHash+LSH near-duplicate pairs with verified true Jaccard.
+def _minhash_stage(ds, *, col: str, id_col: str, num_perm: int,
+                   bands: int, shingle_k: int, side: int | None = None):
+    """The shared MinHash front half: ``(sigs, banded)``.
 
-    Stages: shingle→minhash signatures per batch (vectorized) → band
-    rows → groupby band bucket → candidate pairs → **signature-agreement
-    prefilter** (estimated Jaccard = fraction of matching minhash
-    components; LSH buckets over repetitive corpora explode into 100k+
-    candidates, and exact set-based verification of each was the
-    measured bottleneck — the prefilter kills ~99% of false candidates)
-    → exact Jaccard only on survivors.
-
-    The prefilter and the verifier both run by hash-JOINING the narrow
-    pair rows back to the signature / document tables on ``id_a`` /
-    ``id_b`` — no corpus-sized broadcast or driver materialization
-    anywhere; the candidate count, not the corpus size, bounds every
-    intermediate. Returns (id_a, id_b, jaccard), id_a < id_b.
-
-    Hot-bucket safety (the 100-TB hazard: a boilerplate cluster of 10⁶
-    near-identical docs lands every member in one bucket):
-    ``edges="star"`` emits only ``(bucket_min_id, other)`` — m−1 edges,
-    sufficient connectivity for ``neardup_groups`` (note a star edge
-    failing Jaccard verification can, in adversarial buckets, sever a
-    B–C link full enumeration would keep — the standard LSH-dedup
-    trade); ``edges="all"`` (default) caps each bucket's enumeration at
-    ``max_bucket_pairs`` via a deterministic index-distance schedule
-    that always keeps the distance-1 ring, and LOGS the dropped count —
-    no silent truncation.
+    ``sigs`` is materialized ``(id_col, sig, __text)`` — signatures as
+    plain bytes (a binary column shuffles and joins cleanly) with the
+    text riding along, so the prefilter and the verify are served by
+    the same two join-backs. ``banded`` is one narrow
+    ``(band, band_hash, id_col)`` row per doc and band, tagged with
+    ``SIDE_COL = side`` when ``side`` is given.
     """
-    from ..temporal.join import hash_join
+    from ..temporal.core import SIDE_COL
 
     if num_perm % bands:
         raise ValueError("bands must divide num_perm")
     rows_per_band = num_perm // bands
     a, b = _minhash_params(num_perm)
-    # prefilter margin: E[est] = true J; with 64 perms, σ ≈ 0.06 — a
-    # 3σ-ish margin keeps recall while dropping the candidate flood.
-    est_cutoff = max(0.0, threshold - 0.2)
 
     def to_sigs(batch: pd.DataFrame) -> pd.DataFrame:
         sigs = minhash_signatures_batch(list(batch[col]), a, b, shingle_k)
-        # signatures travel as plain bytes: a binary column shuffles/joins
-        # cleanly (tensor-extension columns break on null-alignment).
-        # text rides along so prefilter AND verify are served by the
-        # same two joins (one derived corpus copy in the object store —
-        # spillable — instead of four corpus shuffles).
         return pd.DataFrame({id_col: batch[id_col].to_numpy(),
                              "sig": [s.tobytes() for s in sigs],
                              "__text": batch[col].to_numpy()})
 
-    sig_ds = ds.map_batches(to_sigs, batch_format="pandas", batch_size=256).materialize()
+    sigs = ds.map_batches(to_sigs, batch_format="pandas", batch_size=256).materialize()
 
     def to_bands(batch: pd.DataFrame) -> pd.DataFrame:
-        sigs = np.stack([np.frombuffer(s, dtype=np.uint64) for s in batch["sig"]])
+        sig = np.stack([np.frombuffer(s, dtype=np.uint64) for s in batch["sig"]])
         n = len(batch)
-        # narrow rows only — text/sig do not ride through the band shuffle
-        band_ids = np.repeat(np.arange(bands), n)
-        ids = np.tile(batch[id_col].to_numpy(), bands)
         bh = np.empty(bands * n, dtype=np.uint64)
         for bi in range(bands):
-            seg = sigs[:, bi * rows_per_band : (bi + 1) * rows_per_band]
+            seg = sig[:, bi * rows_per_band : (bi + 1) * rows_per_band]
             bh[bi * n : (bi + 1) * n] = pd.util.hash_pandas_object(
                 pd.DataFrame(seg), index=False
             ).to_numpy()
-        out = pd.DataFrame({"band": band_ids, "band_hash": bh, id_col: ids})
-        out["__part"] = ((out.band_hash ^ out.band) % num_partitions).astype("int64")
+        out = pd.DataFrame({"band": np.repeat(np.arange(bands), n), "band_hash": bh,
+                            id_col: np.tile(batch[id_col].to_numpy(), bands)})
+        if side is not None:
+            out[SIDE_COL] = np.int8(side)
         return out
 
-    def bucket_pairs(group: pd.DataFrame) -> pd.DataFrame:
-        pairs = []
-        dropped = 0
-        for (_, _), g in group.groupby(["band", "band_hash"], sort=False):
-            ids = np.sort(g[id_col].unique())
-            if len(ids) > 1:
-                pa_, pb_, d = _enumerate_bucket_pairs(
-                    ids, edges=edges, max_pairs=max_bucket_pairs)
-                dropped += d
-                pairs.append(pd.DataFrame({"id_a": pa_, "id_b": pb_}))
-        if dropped:
-            _LOG.warning(
-                "minhash bucket pair enumeration truncated: %d candidate "
-                "pairs dropped (max_bucket_pairs=%s); distance-1 ring kept "
-                "so bucket connectivity is preserved", dropped,
-                max_bucket_pairs)
-        if not pairs:
-            return pd.DataFrame({"id_a": pd.Series([], dtype="int64"),
-                                 "id_b": pd.Series([], dtype="int64")})
-        return pd.concat(pairs, ignore_index=True).drop_duplicates()
+    return sigs, sigs.map_batches(to_bands, batch_format="pandas")
 
-    cand = (
-        sig_ds.map_batches(to_bands, batch_format="pandas")
-        .groupby("__part")
-        .map_groups(bucket_pairs, batch_format="pandas")
-    )
-    cand = dedup_pairs(cand, num_partitions).materialize()
-    if cand.count() == 0:
-        return _empty_pairs_ds({"jaccard": "float64"})
 
-    # prefilter + verify in ONE pass: join the candidate pairs back to
-    # the (sig, text) table on each side — two pair-bounded shuffles
-    # total, no corpus broadcast. The intermediate join is materialized
-    # so the second join's schema resolution cannot re-execute it.
-    def _side(side: str):
-        def fn(batch: pd.DataFrame) -> pd.DataFrame:
-            return batch.rename(columns={id_col: f"id_{side}", "sig": f"sig_{side}",
-                                         "__text": f"text_{side}"})
+def _minhash_verified(cand, sigs_a, sigs_b, id_col: str, *, threshold: float,
+                      shingle_k: int, num_partitions: int):
+    """The shared MinHash back half: join both members' signature and
+    text back onto the candidates, drop pairs whose signature agreement
+    (the estimated Jaccard) is below ``threshold − 0.2``, then keep
+    exact Jaccard ``>= threshold``. Output ``(id_a, id_b, jaccard)``;
+    ``None`` when there are no candidates.
 
-        return fn
+    The prefilter is the eager input filter of the verify: LSH buckets
+    over repetitive corpora explode into 100k+ candidates, and exact
+    set-based verification of each was the measured bottleneck. With
+    64 permutations the estimate's σ ≈ 0.06, so the 0.2 margin keeps
+    recall while dropping ~99% of false candidates.
+    """
+    joined = _join_back(cand, sigs_a, sigs_b, id_col, ["sig", "__text"],
+                        num_partitions)
+    if joined is None:
+        return None
+    est_cutoff = max(0.0, threshold - 0.2)
 
-    with_a = hash_join(cand, sig_ds.map_batches(_side("a"), batch_format="pandas"),
-                       on="id_a", num_partitions=num_partitions).materialize()
-    with_ab = hash_join(with_a, sig_ds.map_batches(_side("b"), batch_format="pandas"),
-                        on="id_b", num_partitions=num_partitions)
-
-    def prefilter_verify(batch: pd.DataFrame) -> pd.DataFrame:
-        empty = pd.DataFrame({"id_a": pd.Series([], dtype="int64"),
-                              "id_b": pd.Series([], dtype="int64"),
-                              "jaccard": pd.Series([], dtype="float64")})
-        if batch.empty:
-            return empty
-        sa = np.stack([np.frombuffer(s, dtype=np.uint64) for s in batch["sig_a"]])
-        sb = np.stack([np.frombuffer(s, dtype=np.uint64) for s in batch["sig_b"]])
-        est = (sa == sb).mean(axis=1)
-        batch = batch[est >= est_cutoff]
-        if batch.empty:
-            return empty
+    def verify(batch: pd.DataFrame) -> pd.DataFrame:
+        if not batch.empty:
+            sa = np.stack([np.frombuffer(s, dtype=np.uint64) for s in batch["sig_a"]])
+            sb = np.stack([np.frombuffer(s, dtype=np.uint64) for s in batch["sig_b"]])
+            batch = batch[(sa == sb).mean(axis=1) >= est_cutoff]
         jac = np.array([jaccard(x, y, shingle_k)
-                        for x, y in zip(batch.text_a, batch.text_b)])
-        out = batch[["id_a", "id_b"]][jac >= threshold].copy()
+                        for x, y in zip(batch["__text_a"], batch["__text_b"])],
+                       dtype=np.float64)
+        out = batch.loc[jac >= threshold, ["id_a", "id_b"]]
         out["jaccard"] = jac[jac >= threshold]
         return out
 
-    return with_ab.map_batches(prefilter_verify, batch_format="pandas")
+    return joined.map_batches(verify, batch_format="pandas")
+
+
+def minhash_lsh_pairs(ds, *, col: str = "text", id_col: str = "doc_id",
+                      num_perm: int = 64, bands: int = 16, shingle_k: int = 5,
+                      threshold: float = 0.5, num_partitions: int = 64,
+                      edges: str = "all",
+                      max_bucket_pairs: int | None = _BUCKET_PAIR_CAP):
+    """MinHash+LSH near-duplicate pairs with verified true Jaccard:
+    shingle → minhash signatures per batch (vectorized) → band rows →
+    ``_lsh_candidates`` → signature-agreement prefilter → exact Jaccard
+    on the survivors (``_minhash_verified``). Returns
+    ``(id_a, id_b, jaccard)``, ``id_a < id_b``.
+
+    ``edges``/``max_bucket_pairs`` choose the hot-bucket rule (module
+    docstring): ``"star"`` for a connected-components consumer
+    (``minhash_dedup_groups``), ``"all"`` with a logged per-bucket cap
+    for the pair surface.
+    """
+    sigs, banded = _minhash_stage(ds, col=col, id_col=id_col, num_perm=num_perm,
+                                  bands=bands, shingle_k=shingle_k)
+    cand = _lsh_candidates(banded, ["band", "band_hash"], id_col,
+                           num_partitions=num_partitions, edges=edges,
+                           max_pairs=max_bucket_pairs)
+    pairs = _minhash_verified(cand, sigs, sigs, id_col, threshold=threshold,
+                              shingle_k=shingle_k, num_partitions=num_partitions)
+    return _empty_pairs_ds({"jaccard": "float64"}) if pairs is None else pairs
 
 
 def ngram_jaccard_pairs(ds, *, col: str = "text", id_col: str = "doc_id",
@@ -545,6 +610,7 @@ def ngram_jaccard_pairs(ds, *, col: str = "text", id_col: str = "doc_id",
     should scale ~√(cluster cores) so groups stay balanced.
     Returns (id_a, id_b, jaccard), id_a < id_b.
     """
+    from ..temporal.core import partitioned_apply
 
     def scatter(batch: pd.DataFrame) -> pd.DataFrame:
         blk = (
@@ -560,10 +626,8 @@ def ngram_jaccard_pairs(ds, *, col: str = "text", id_col: str = "doc_id",
                 id_col: batch[id_col].to_numpy(),
                 col: batch[col].to_numpy(),
             }))
-        out = pd.concat(frames, ignore_index=True).drop_duplicates(
+        return pd.concat(frames, ignore_index=True).drop_duplicates(
             subset=["grp", id_col])
-        out["__part"] = (out.grp % num_partitions).astype("int64")
-        return out
 
     def cross(group: pd.DataFrame) -> pd.DataFrame:
         res = []
@@ -596,11 +660,8 @@ def ngram_jaccard_pairs(ds, *, col: str = "text", id_col: str = "doc_id",
         out = pd.DataFrame(res, columns=["id_a", "id_b", "jaccard"])
         return out
 
-    return (
-        ds.map_batches(scatter, batch_format="pandas")
-        .groupby("__part")
-        .map_groups(cross, batch_format="pandas")
-    )
+    return partitioned_apply(ds.map_batches(scatter, batch_format="pandas"),
+                             "grp", cross, num_partitions)
 
 
 # ---------------------------------------------------------------- simhash
@@ -636,79 +697,59 @@ def simhash64_batch(texts: list[str], k: int = 4) -> np.ndarray:
 
 
 def _popcount64(x: np.ndarray) -> np.ndarray:
-    """Vectorized popcount for uint64 arrays."""
+    """Vectorized popcount for 64-bit integer arrays."""
     return np.unpackbits(x.view(np.uint8).reshape(-1, 8), axis=1).sum(axis=1)
+
+
+def _check_pigeonhole(max_hamming: int) -> None:
+    if not 0 <= max_hamming <= 3:
+        raise ValueError("banded pigeonhole is lossless only for "
+                         f"max_hamming <= 3, got {max_hamming}")
+
+
+def _hamming_pairs(hashed, id_col: str, *, max_hamming: int,
+                   num_partitions: int, edges: str = "all",
+                   max_pairs: int | None = None):
+    """The 4×16-bit stage shared by simhash and the image hashes: band
+    each 64-bit hash ``h`` (int64) of ``hashed`` into four 16-bit
+    chunks — pigeonhole: hamming ≤ 3 ⇒ one chunk agrees, so banding
+    loses no pair — pair every bucket through ``_lsh_candidates``
+    (8-byte rows; the hash rides along) and keep the pairs whose
+    popcount(xor) ≤ ``max_hamming``, verified inside the bucket.
+    Output ``(id_a, id_b, hamming)``."""
+
+    def to_bands(batch: pd.DataFrame) -> pd.DataFrame:
+        h = np.repeat(batch["h"].to_numpy(np.int64), 4)
+        band = np.tile(np.arange(4, dtype=np.int64), len(batch))
+        bh = (h.view(np.uint64) >> (16 * band).astype(np.uint64)) & np.uint64(0xFFFF)
+        return pd.DataFrame({"band": band, "bh": bh.astype(np.int64),
+                             id_col: np.repeat(batch[id_col].to_numpy(), 4),
+                             "sig": h})
+
+    def verify(pairs: pd.DataFrame, rows: pd.DataFrame) -> pd.DataFrame:
+        sig = rows.drop_duplicates(id_col).set_index(id_col)["sig"]
+        x = (pairs["id_a"].map(sig).to_numpy(np.int64)
+             ^ pairs["id_b"].map(sig).to_numpy(np.int64))
+        ham = _popcount64(x).astype(np.int64)
+        return pairs.assign(hamming=ham)[ham <= max_hamming]
+
+    return _lsh_candidates(hashed.map_batches(to_bands, batch_format="pandas"),
+                           ["band", "bh"], id_col, num_partitions=num_partitions,
+                           edges=edges, max_pairs=max_pairs, verify=verify)
 
 
 def simhash_pairs(ds, *, col: str = "text", id_col: str = "doc_id",
                   max_hamming: int = 3, shingle_k: int = 4, num_partitions: int = 64):
-    """SimHash near-dup pairs: band the 64-bit hash into 4×16-bit chunks
-    (pigeonhole: hamming ≤ 3 ⇒ at least one identical chunk), bucket by
-    chunk, verify true hamming distance. Returns (id_a, id_b, hamming)."""
+    """SimHash near-dup pairs: the 64-bit simhash per doc through the
+    4×16-bit stage (``_hamming_pairs``: every in-bucket pair, exact
+    hamming verify). Returns (id_a, id_b, hamming)."""
 
-    def to_chunks(batch: pd.DataFrame) -> pd.DataFrame:
-        hs = simhash64_batch(list(batch[col]), shingle_k)
-        u = hs.view(np.uint64)
-        frames = []
-        for c in range(4):
-            chunk = ((u >> np.uint64(16 * c)) & np.uint64(0xFFFF)).astype(np.int64)
-            frames.append(pd.DataFrame({
-                "chunk_no": c, "chunk": chunk, id_col: batch[id_col].to_numpy(),
-                "simhash": hs,
-            }))
-        out = pd.concat(frames, ignore_index=True)
-        out["__part"] = (
-            pd.util.hash_pandas_object(out[["chunk_no", "chunk"]], index=False)
-            % num_partitions
-        ).astype("int64")
-        return out
+    def to_hash(batch: pd.DataFrame) -> pd.DataFrame:
+        return pd.DataFrame({id_col: batch[id_col].to_numpy(),
+                             "h": simhash64_batch(list(batch[col]), shingle_k)})
 
-    def bucket(group: pd.DataFrame) -> pd.DataFrame:
-        res = []
-        for _, g in group.groupby(["chunk_no", "chunk"], sort=False):
-            if len(g) < 2:
-                continue
-            g = g.drop_duplicates(subset=[id_col]).sort_values(id_col)
-            ids = g[id_col].to_numpy()
-            hv = g["simhash"].to_numpy().view(np.uint64)
-            ia, ib = np.triu_indices(len(ids), k=1)
-            ham = _popcount64(np.bitwise_xor(hv[ia], hv[ib]))
-            keep = ham <= max_hamming
-            if keep.any():
-                res.append(pd.DataFrame({"id_a": ids[ia[keep]], "id_b": ids[ib[keep]],
-                                         "hamming": ham[keep].astype("int64")}))
-        if not res:
-            return pd.DataFrame({"id_a": pd.Series([], dtype="int64"),
-                                 "id_b": pd.Series([], dtype="int64"),
-                                 "hamming": pd.Series([], dtype="int64")})
-        return pd.concat(res, ignore_index=True)
-
-    out = (
-        ds.map_batches(to_chunks, batch_format="pandas")
-        .groupby("__part")
-        .map_groups(bucket, batch_format="pandas")
-    )
-    # same pair can surface from several chunks → final dedup
-    return dedup_pairs(out)
-
-
-def dedup_pairs(pairs_ds, num_partitions: int = 64):
-    def tag(batch: pd.DataFrame) -> pd.DataFrame:
-        batch = batch.drop_duplicates(subset=["id_a", "id_b"]).copy()
-        batch["__p"] = (
-            pd.util.hash_pandas_object(batch[["id_a", "id_b"]], index=False)
-            % num_partitions
-        ).astype("int64")
-        return batch
-
-    return (
-        pairs_ds.map_batches(tag, batch_format="pandas")
-        .groupby("__p")
-        .map_groups(
-            lambda g: g.drop_duplicates(subset=["id_a", "id_b"]).drop(columns="__p"),
-            batch_format="pandas",
-        )
-    )
+    return _hamming_pairs(ds.map_batches(to_hash, batch_format="pandas"), id_col,
+                          max_hamming=max_hamming, num_partitions=num_partitions)
 
 
 # ------------------------------------------ near-dup clusters (conn. comp.)
@@ -873,9 +914,7 @@ def neardup_groups(pairs_ds, *, num_partitions: int = 64, max_rounds: int = 30):
 def embedding_neardup_pairs(ds, *, vec_col: str = "embedding", id_col: str = "vec_id",
                             threshold: float = 0.95, mode: str = "lsh",
                             bands: int = 16, band_bits: int = 8,
-                            num_partitions: int = 64, seed: int = 5102020,
-                            edges: str = "all",
-                            max_bucket_pairs: int | None = 1_000_000):
+                            num_partitions: int = 64, seed: int = 5102020):
     """Near-duplicate pairs by embedding cosine ≥ threshold.
 
     ``mode="lsh"`` (default, the scale path): random-hyperplane sign
@@ -885,24 +924,16 @@ def embedding_neardup_pairs(ds, *, vec_col: str = "embedding", id_col: str = "ve
     pairs. A true pair is missed only if every band splits it: for
     cosine ≥ 0.95 the per-band hit rate is (1 − θ/π)^8 ≈ 0.43, so 16
     bands give recall ≈ 1 − 0.57^16 > 0.9998 (exact duplicates are
-    always caught — identical vectors sign identically).
-
-    Shuffle shape (the minhash shape, ``minhash_lsh_pairs``): the band
-    exchange carries only narrow ``(band, bucket, id)`` rows — vector
-    bytes do NOT ride it ``bands`` times. Buckets emit candidate id
-    pairs; the pairs are deduped and hash-JOINED back to a materialized
-    ``(id, vec)`` table on each side, then cosine is one vectorized
-    rowwise dot per batch. Candidate count, not corpus size, bounds
-    every post-bucket intermediate; the vector table crosses an
-    exchange once per join (2×) instead of once per band (16×).
+    always caught — identical vectors sign identically). Only narrow
+    ``(band, bucket, id)`` rows cross the band exchange; the normalized
+    vectors are joined back to the candidates (``_join_back``) and
+    cosine is one rowwise dot per batch.
 
     ``mode="exact"``: the quadratic broadcast baseline — the normalized
     corpus matrix is shipped once via ray.put and each batch computes
     one matmul block. Only for corpora that fit one node; the oracle
     baseline for the LSH path's recall tests.
     """
-    from ..temporal.join import hash_join
-
     if mode == "exact":
         return _embedding_neardup_exact(ds, vec_col, id_col, threshold)
 
@@ -929,65 +960,19 @@ def embedding_neardup_pairs(ds, *, vec_col: str = "embedding", id_col: str = "ve
         planes = _lsh_planes(seed, q.shape[1], bands * band_bits)
         bits = (q @ planes >= 0).astype(np.uint8)  # (n, bands*band_bits)
         n = len(batch)
-        ids = batch[id_col].to_numpy()
-        band_ids = np.repeat(np.arange(bands), n)
         keys = np.empty(bands * n, dtype=np.int64)
         for bi in range(bands):
             seg = bits[:, bi * band_bits : (bi + 1) * band_bits]
             keys[bi * n : (bi + 1) * n] = np.packbits(
                 seg, axis=1, bitorder="little")[:, 0].astype(np.int64)
-        out = pd.DataFrame({"band": band_ids, "bucket": keys,
-                            id_col: np.tile(ids, bands)})
-        out["__part"] = (
-            pd.util.hash_pandas_object(out[["band", "bucket"]], index=False)
-            % num_partitions
-        ).astype("int64")
-        return out
+        return pd.DataFrame({"band": np.repeat(np.arange(bands), n), "bucket": keys,
+                             id_col: np.tile(batch[id_col].to_numpy(), bands)})
 
-    def bucket_pairs(group: pd.DataFrame) -> pd.DataFrame:
-        # same hot-bucket discipline as minhash_lsh_pairs: star edges for
-        # the connectivity consumer, capped + logged enumeration otherwise
-        pairs = []
-        dropped = 0
-        for _, g in group.groupby(["band", "bucket"], sort=False):
-            ids = np.sort(g[id_col].unique())
-            if len(ids) > 1:
-                pa_, pb_, d = _enumerate_bucket_pairs(
-                    ids, edges=edges, max_pairs=max_bucket_pairs)
-                dropped += d
-                pairs.append(pd.DataFrame({"id_a": pa_, "id_b": pb_}))
-        if dropped:
-            _LOG.warning(
-                "embedding-LSH bucket pair enumeration truncated: %d "
-                "candidate pairs dropped (max_bucket_pairs=%s); distance-1 "
-                "ring kept so bucket connectivity is preserved", dropped,
-                max_bucket_pairs)
-        if not pairs:
-            return pd.DataFrame({"id_a": pd.Series([], dtype="int64"),
-                                 "id_b": pd.Series([], dtype="int64")})
-        return pd.concat(pairs, ignore_index=True).drop_duplicates()
-
-    cand = (
-        vec_ds.map_batches(to_bands, batch_format="pandas")
-        .groupby("__part")
-        .map_groups(bucket_pairs, batch_format="pandas")
-    )
-    cand = dedup_pairs(cand, num_partitions).materialize()
-    if cand.count() == 0:
+    cand = _lsh_candidates(vec_ds.map_batches(to_bands, batch_format="pandas"),
+                           ["band", "bucket"], id_col, num_partitions=num_partitions)
+    joined = _join_back(cand, vec_ds, vec_ds, id_col, ["vec"], num_partitions)
+    if joined is None:
         return _empty_pairs_ds({"cosine": "float64"})
-
-    def _side(side: str):
-        def fn(batch: pd.DataFrame) -> pd.DataFrame:
-            return batch.rename(columns={id_col: f"id_{side}", "vec": f"vec_{side}"})
-
-        return fn
-
-    # materialize between the chained joins: a lazy first join would be
-    # re-executed by the second join's schema resolution
-    with_a = hash_join(cand, vec_ds.map_batches(_side("a"), batch_format="pandas"),
-                       on="id_a", num_partitions=num_partitions).materialize()
-    with_ab = hash_join(with_a, vec_ds.map_batches(_side("b"), batch_format="pandas"),
-                        on="id_b", num_partitions=num_partitions)
 
     def verify(batch: pd.DataFrame) -> pd.DataFrame:
         if batch.empty:
@@ -1001,7 +986,7 @@ def embedding_neardup_pairs(ds, *, vec_col: str = "embedding", id_col: str = "ve
         out["cosine"] = cos[cos >= threshold]
         return out
 
-    return with_ab.map_batches(verify, batch_format="pandas")
+    return joined.map_batches(verify, batch_format="pandas")
 
 
 _PLANES_CACHE: dict[tuple, np.ndarray] = {}
@@ -1218,76 +1203,57 @@ def winnow_fingerprints_batch(texts: list[str], *, k: int = 8,
 
 def substring_dup_pairs(ds, *, col: str = "text", id_col: str = "doc_id",
                         k: int = 8, sel_mod: int = 16, window: int = 64,
-                        num_partitions: int = 64, edges: str = "all",
-                        max_bucket_pairs: int | None = 1_000_000):
+                        num_partitions: int = 64):
     """Cross-document duplicated-span candidate pairs: documents
     sharing ≥ 1 content-defined window fingerprint, with the count of
     DISTINCT shared fingerprints per pair (a proxy for total
     duplicated length: ≈ ``shared_spans × sel_mod`` chars).
 
     Plan: per-batch winnowing (vectorized shingle scan; anchors ~1/
-    ``sel_mod`` of chars) → dedupe (doc, fp) → one fp-key
-    hash-partition exchange (8-byte rows, never text) → per-bucket
-    pair emission under the SAME hot-bucket discipline as MinHash
-    (``_enumerate_bucket_pairs``: star edges or capped + logged) →
-    pair-key merge counting shared fingerprints. Output: ``id_a <
+    ``sel_mod`` of chars) → distinct (doc, fp) rows → ``_lsh_candidates``
+    with the fingerprint as the bucket (8-byte rows, never text), whose
+    pair-key exchange counts the shared fingerprints. Output: ``id_a <
     id_b``, ``shared_spans`` (int64). The SQL oracle replays anchors,
     window hashes and the pair join bit-for-bit.
     """
-    from ..temporal.core import partitioned_apply
 
     def fps(batch: pd.DataFrame) -> pd.DataFrame:
-        texts = batch[col].tolist()
         doc_idx, _pos, fp = winnow_fingerprints_batch(
-            texts, k=k, sel_mod=sel_mod, window=window)
-        out = pd.DataFrame({
-            id_col: batch[id_col].to_numpy()[doc_idx],
-            "fp": fp,
-        }).drop_duplicates()
-        return out
+            batch[col].tolist(), k=k, sel_mod=sel_mod, window=window)
+        return pd.DataFrame({id_col: batch[id_col].to_numpy()[doc_idx],
+                             "fp": fp}).drop_duplicates()
 
-    def bucket_pairs(group: pd.DataFrame) -> pd.DataFrame:
-        pairs, dropped = [], 0
-        for _, g in group.groupby("fp", sort=False):
-            ids = np.sort(g[id_col].unique())
-            if len(ids) > 1:
-                pa_, pb_, d = _enumerate_bucket_pairs(
-                    ids, edges=edges, max_pairs=max_bucket_pairs)
-                dropped += d
-                pairs.append(pd.DataFrame({"id_a": pa_, "id_b": pb_}))
-        if dropped:
-            _LOG.warning("winnow pair enumeration truncated: %d pairs "
-                         "dropped (max_bucket_pairs=%s)", dropped,
-                         max_bucket_pairs)
-        if not pairs:
-            return pd.DataFrame({"id_a": pd.Series([], dtype="int64"),
-                                 "id_b": pd.Series([], dtype="int64")})
-        return pd.concat(pairs, ignore_index=True)
+    return _lsh_candidates(ds.map_batches(fps, batch_format="pandas"), ["fp"],
+                           id_col, num_partitions=num_partitions,
+                           count_col="shared_spans")
 
-    cand = partitioned_apply(
-        ds.map_batches(fps, batch_format="pandas"), "fp", bucket_pairs,
-        num_partitions=num_partitions)
 
-    def merge(df: pd.DataFrame) -> pd.DataFrame:
-        g = df.groupby(["id_a", "id_b"], as_index=False).size() \
-              .rename(columns={"size": "shared_spans"})
-        g["shared_spans"] = g["shared_spans"].astype("int64")
-        return g
+def _image_hashes(ds, bytes_col: str, id_col: str):
+    """The decode stage shared by the image operators: decode each row
+    (from-scratch codecs) and keep ``(id_col, h)``, ``h`` the 64-bit
+    average hash as int64; rows that do not decode drop out."""
+    from ..functions.image_ops import average_hash
+    from .decode import BatchDecoder
 
-    return partitioned_apply(cand, ["id_a", "id_b"], merge,
-                             num_partitions=num_partitions)
+    def fn(batch: pd.DataFrame) -> pd.DataFrame:
+        images, missing = BatchDecoder().decode_column(batch[bytes_col].tolist())
+        return pd.DataFrame({
+            id_col: batch[id_col].to_numpy()[~missing],
+            "h": np.array([average_hash(im) for im in images if im is not None],
+                          dtype=np.int64),
+        })
+
+    return ds.map_batches(fn, batch_format="pandas", batch_size=128)
 
 
 def image_neardup_pairs(ds, *, bytes_col: str = "bytes",
                         id_col: str = "image_id", max_hamming: int = 3,
-                        num_partitions: int = 64, edges: str = "all",
-                        max_bucket_pairs: int | None = 1_000_000):
+                        num_partitions: int = 64):
     """Near-duplicate IMAGE pairs by perceptual-hash banding — the
-    image-axis counterpart of :func:`simhash_pairs`: decode each row
-    (from-scratch codecs), compute the 64-bit average hash, band it
-    4×16-bit (pigeonhole: lossless for hamming ≤ 3), one band-key
-    exchange of 8-byte rows, in-bucket exact hamming verify, the same
-    hot-bucket pair discipline as MinHash. Output: ``id_a < id_b``,
+    image-axis counterpart of :func:`simhash_pairs`: the 64-bit average
+    hash per decoded row through the 4×16-bit stage
+    (``_hamming_pairs``, every in-bucket pair under the per-bucket
+    cap). ``id_col`` may hold strings. Output: ``id_a < id_b``,
     ``hamming`` (int64).
 
     No driver oracle: the synthetic corpus's perceptual hashes collide
@@ -1295,81 +1261,15 @@ def image_neardup_pairs(ds, *, bytes_col: str = "bytes",
     closed-form expected pair set — correctness is pinned by pytest on
     planted noisy duplicates instead (``test_round4_ops.py``).
     """
-    from ..functions.image_ops import average_hash
-    from ..temporal.core import partitioned_apply
-    from .decode import BatchDecoder
-
-    if not 0 <= max_hamming <= 3:
-        raise ValueError("banded pigeonhole is lossless only for "
-                         f"max_hamming <= 3, got {max_hamming}")
-
-    class HashBand:
-        def __init__(self):
-            self.decoder = BatchDecoder(target_size=None)
-
-        def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-            images, _ = self.decoder.decode_column(batch[bytes_col].tolist())
-            ids, hashes = [], []
-            for image_id, img in zip(batch[id_col].tolist(), images):
-                if img is None:
-                    continue
-                ids.append(image_id)
-                hashes.append(average_hash(img))
-            h = np.array(hashes, dtype=np.uint64) if hashes else \
-                np.zeros(0, dtype=np.uint64)
-            rows = {id_col: np.repeat(np.array(ids, dtype=object), 4),
-                    "band": np.tile(np.arange(4, dtype=np.int64),
-                                    len(ids)),
-                    "bh": np.zeros(4 * len(ids), dtype=np.int64),
-                    "sig": np.repeat(h.view(np.int64), 4)}
-            for b in range(4):
-                rows["bh"][b::4] = ((h >> np.uint64(16 * b))
-                                    & np.uint64(0xFFFF)).astype(np.int64)
-            return pd.DataFrame(rows)
-
-    banded = ds.map_batches(HashBand, batch_format="pandas",
-                            concurrency=(2, 8))
-
-    def bucket_pairs(group: pd.DataFrame) -> pd.DataFrame:
-        sig_of = dict(zip(group[id_col], group["sig"].astype(np.int64)))
-        pairs, dropped = [], 0
-        for _, g in group.groupby(["band", "bh"], sort=False):
-            ids = np.sort(g[id_col].unique())
-            if len(ids) > 1:
-                pa_, pb_, d = _enumerate_bucket_pairs(
-                    ids, edges=edges, max_pairs=max_bucket_pairs)
-                dropped += d
-                pairs.append(pd.DataFrame({"id_a": pa_, "id_b": pb_}))
-        if dropped:
-            _LOG.warning("image neardup pair enumeration truncated: %d "
-                         "(max_bucket_pairs=%s)", dropped, max_bucket_pairs)
-        if not pairs:
-            return pd.DataFrame({"id_a": pd.Series([], dtype=object),
-                                 "id_b": pd.Series([], dtype=object),
-                                 "hamming": pd.Series([], dtype="int64")})
-        cand = pd.concat(pairs, ignore_index=True).drop_duplicates()
-        sa = cand["id_a"].map(sig_of).to_numpy(np.int64).view(np.uint64)
-        sb = cand["id_b"].map(sig_of).to_numpy(np.int64).view(np.uint64)
-        x = (sa ^ sb).view(np.uint8).reshape(len(cand), 8)
-        cand["hamming"] = np.unpackbits(x, axis=1).sum(axis=1).astype("int64")
-        return cand[cand["hamming"] <= max_hamming]
-
-    cand = partitioned_apply(banded, "bh", bucket_pairs,
-                             num_partitions=num_partitions)
-
-    # a pair can surface from several bands: keep one row
-    def dedupe(df: pd.DataFrame) -> pd.DataFrame:
-        return df.drop_duplicates(["id_a", "id_b"])
-
-    return partitioned_apply(cand, ["id_a", "id_b"], dedupe,
-                             num_partitions=num_partitions)
+    _check_pigeonhole(max_hamming)
+    return _hamming_pairs(_image_hashes(ds, bytes_col, id_col), id_col,
+                          max_hamming=max_hamming, num_partitions=num_partitions,
+                          max_pairs=_BUCKET_PAIR_CAP)
 
 
 def image_neardup_groups(ds, *, bytes_col: str = "bytes",
                          id_col: str = "img_key", max_hamming: int = 3,
-                         num_partitions: int = 64,
-                         max_bucket_pairs: int | None = 1_000_000,
-                         edges: str = "star"):
+                         num_partitions: int = 64):
     """Near-duplicate IMAGE groups: perceptual-hash connected components
     — the image-axis counterpart of ``minhash_dedup_groups`` (rounds
     out image dedup past :func:`image_neardup_pairs`'s pair surface).
@@ -1382,12 +1282,12 @@ def image_neardup_groups(ds, *, bytes_col: str = "bytes",
     hamming 0, no verify needed, LINEAR where the pair enumeration of
     a 2,667-member solid-image cluster (the sf0.1 corpus's real shape)
     would be ~3.5M pairs. Banding then runs over DISTINCT hashes only
-    (pigeonhole 4×16 bit, lossless for hamming ≤ 3), in-bucket pairs
-    are hamming-verified between representatives, and the components
-    of (star ∪ verified-rep) edges equal the components of the full
-    hamming ≤ ``max_hamming`` graph: members of an identical-hash
-    cluster are interchangeable ⇒ edges through the representative
-    preserve exactly the connectivity the full pair set has.
+    (``_hamming_pairs``), in-bucket pairs are hamming-verified between
+    representatives, and the components of (star ∪ verified-rep) edges
+    equal the components of the full hamming ≤ ``max_hamming`` graph:
+    members of an identical-hash cluster are interchangeable ⇒ edges
+    through the representative preserve exactly the connectivity the
+    full pair set has.
 
     Output: ``(id, group_id)`` for every image in a ≥2-member group,
     ``group_id`` = min member id (``neardup_groups``' label rule).
@@ -1396,48 +1296,18 @@ def image_neardup_groups(ds, *, bytes_col: str = "bytes",
     rows-only and the semantics are pinned by the planted-cluster
     pytest (``tests/test_image_groups.py``).
 
-    ``edges="star"`` (default) enumerates only (bucket-min-rep, other)
-    candidates per band bucket — m−1 per bucket, the same
-    GROUPS-consumer discipline as ``minhash_lsh_pairs(edges="star")``,
-    with the same documented trade: a star edge failing the hamming
-    verify can sever a B–C link full enumeration would keep. This
-    matters on hot-bucket corpora: the synthetic sf0.1 images
-    concentrate 11k distinct hashes into ~150 buckets per band (18.8M
-    all-pairs candidates, measured); star enumeration is linear.
-    ``edges="all"`` restores exhaustive in-bucket pairs under
-    ``max_bucket_pairs``.
+    The representative buckets are paired by the star rule, fixed:
+    (bucket-min rep, other) only, m−1 candidates per bucket, with the
+    trade of the module docstring — a star edge failing the hamming
+    verify can sever a B–C link full enumeration would keep. Star is
+    what keeps hot buckets linear: the synthetic sf0.1 images
+    concentrate 11k distinct hashes into ~150 buckets per band, 18.8M
+    all-pairs candidates (measured).
     """
     from ..temporal.core import partitioned_apply
-    from ..functions.image_ops import average_hash
-    from .decode import BatchDecoder
 
-    if not 0 <= max_hamming <= 3:
-        raise ValueError("banded pigeonhole is lossless only for "
-                         f"max_hamming <= 3, got {max_hamming}")
-
-    class HashRows:
-        def __init__(self):
-            self.decoder = BatchDecoder(target_size=None)
-
-        def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-            images, _ = self.decoder.decode_column(batch[bytes_col].tolist())
-            ids, hashes = [], []
-            for image_id, img in zip(batch[id_col].tolist(), images):
-                if img is None:
-                    continue
-                ids.append(int(image_id))
-                hashes.append(average_hash(img))
-            return pd.DataFrame({
-                id_col: np.asarray(ids, dtype=np.int64),
-                "h": (np.asarray(hashes, dtype=np.uint64).view(np.int64)
-                      if hashes else np.zeros(0, dtype=np.int64)),
-            })
-
-    # decode tuning mirrors the featurize pool (decode dominates this
-    # stage: 14.5 → 11.7 s at sf0.1/32 CPUs with the wider pool +
-    # explicit batch size)
-    hashed = ds.map_batches(HashRows, batch_format="pandas",
-                            batch_size=128, concurrency=(2, 16)).materialize()
+    _check_pigeonhole(max_hamming)
+    hashed = _image_hashes(ds, bytes_col, id_col).materialize()
 
     # Every downstream exchange moves (id, h) scalar rows — size the
     # partition count from the MATERIALIZED hash-row count, not the
@@ -1464,51 +1334,9 @@ def image_neardup_groups(ds, *, bytes_col: str = "bytes",
 
     # phase 2 — banding over DISTINCT hashes only (tiny buckets by
     # construction), exact in-bucket hamming verify between reps
-    def to_bands(batch: pd.DataFrame) -> pd.DataFrame:
-        h = batch["h"].to_numpy(np.int64).view(np.uint64)
-        ids = batch["id_a"].to_numpy(np.int64)
-        out = {"rep": np.repeat(ids, 4),
-               "sig": np.repeat(h.view(np.int64), 4),
-               "band": np.tile(np.arange(4, dtype=np.int64), len(ids)),
-               "bh": np.zeros(4 * len(ids), dtype=np.int64)}
-        for b in range(4):
-            out["bh"][b::4] = ((h >> np.uint64(16 * b))
-                               & np.uint64(0xFFFF)).astype(np.int64)
-        return pd.DataFrame(out)
-
-    banded = reps.map_batches(to_bands, batch_format="pandas")
-
-    def bucket_pairs(group: pd.DataFrame) -> pd.DataFrame:
-        sig_of = dict(zip(group["rep"], group["sig"].astype(np.int64)))
-        pairs, dropped = [], 0
-        for _, g in group.groupby(["band", "bh"], sort=False):
-            ids = np.sort(g["rep"].unique())
-            if len(ids) > 1:
-                pa_, pb_, d = _enumerate_bucket_pairs(
-                    ids, edges=edges, max_pairs=max_bucket_pairs)
-                dropped += d
-                pairs.append(pd.DataFrame({"id_a": pa_, "id_b": pb_}))
-        if dropped:
-            _LOG.warning("image group pair enumeration truncated: %d "
-                         "(max_bucket_pairs=%s)", dropped, max_bucket_pairs)
-        if not pairs:
-            return pd.DataFrame({"id_a": pd.Series([], dtype="int64"),
-                                 "id_b": pd.Series([], dtype="int64")})
-        cand = pd.concat(pairs, ignore_index=True).drop_duplicates()
-        sa = cand["id_a"].map(sig_of).to_numpy(np.int64).view(np.uint64)
-        sb = cand["id_b"].map(sig_of).to_numpy(np.int64).view(np.uint64)
-        x = (sa ^ sb).view(np.uint8).reshape(len(cand), 8)
-        ham = np.unpackbits(x, axis=1).sum(axis=1).astype("int64")
-        return cand[ham <= max_hamming]
-
-    rep_edges = partitioned_apply(banded, "bh", bucket_pairs,
-                                  num_partitions=num_partitions)
-    # no cross-partition edge dedup: the same rep pair surviving in
-    # 2+ bands reaches CC multiply, which affects connectivity not at
-    # all and CC work only by the ≤4× band duplication factor — one
-    # whole exchange cheaper (each partition already drop_duplicates
-    # its own candidates before the hamming verify)
-    return neardup_groups(star.union(rep_edges),
+    rep_edges = _hamming_pairs(reps, "id_a", max_hamming=max_hamming,
+                               num_partitions=num_partitions, edges="star")
+    return neardup_groups(star.union(rep_edges.select_columns(["id_a", "id_b"])),
                           num_partitions=num_partitions)
 
 

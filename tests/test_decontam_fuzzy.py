@@ -67,9 +67,46 @@ def test_fuzzy_decontam_partition_invariant(ray_session):
 
     df = _corpus()
     outs = []
-    for parts in (1, 5):
-        train = rd.from_pandas(df[df.side == "train"]).repartition(parts)
-        ev = rd.from_pandas(df[df.side == "eval"]).repartition(parts)
-        outs.append(sorted(decontaminate_fuzzy(train, ev, threshold=0.5)
-                           .to_pandas().doc_id.tolist()))
-    assert outs[0] == outs[1]
+    for blocks in (1, 5):
+        for parts in (1, 7, 64):
+            train = rd.from_pandas(df[df.side == "train"]).repartition(blocks)
+            ev = rd.from_pandas(df[df.side == "eval"]).repartition(blocks)
+            outs.append(sorted(decontaminate_fuzzy(train, ev, threshold=0.5,
+                                                   num_partitions=parts)
+                               .to_pandas().doc_id.tolist()))
+    assert all(out == outs[0] for out in outs)
+
+
+def test_fuzzy_decontam_cap_replayed_by_oracle(ray_session):
+    """A hot bucket where ``max_bucket_fanout`` binds: 10 identical train
+    docs and 2 identical eval docs share every band bucket (10·2 > 5),
+    so only the 5 // 2 = 2 smallest train ids are candidates and the
+    other 8 clones are kept. The DuckDB oracle replays the same cap."""
+    import duckdb
+    import ray.data as rd
+
+    from pic2vec_ray.pipelines.sketch_sql import minhash_decontam_sql
+    from pic2vec_ray.stages.dedup import _minhash_params
+    from pic2vec_ray.stages.decontam import decontaminate_fuzzy
+
+    rng = np.random.default_rng(5)
+    words = [f"w{i}" for i in range(200)]
+    hot = " ".join(rng.choice(words, 30))
+    texts = [hot] * 10 + [" ".join(rng.choice(words, 30)) for _ in range(5)]
+    docs = pd.DataFrame({
+        "doc_id": np.r_[np.arange(15), [100, 101]].astype(np.int64),
+        "source": ["src1"] * 15 + ["src0"] * 2,
+        "text": texts + [hot, hot],
+    })
+    docs["n_chars"] = docs.text.str.len().astype(np.int64)
+
+    train = rd.from_pandas(docs[docs.source != "src0"]).repartition(3)
+    ev = rd.from_pandas(docs[docs.source == "src0"])
+    got = sorted(decontaminate_fuzzy(train, ev, threshold=0.5,
+                                     max_bucket_fanout=5)
+                 .to_pandas().doc_id.tolist())
+    con = duckdb.connect()
+    con.register("documents", docs)
+    oracle = sorted(con.execute(minhash_decontam_sql(
+        *_minhash_params(64), max_bucket_fanout=5)).df().doc_id.tolist())
+    assert got == oracle == list(range(2, 15))

@@ -85,13 +85,15 @@ def test_partition_invariance(ray_session):
     df = pd.DataFrame({"img_key": [r[0] for r in rows],
                        "bytes": [r[1] for r in rows]})
     outs = []
-    for nparts in (2, 7):
-        ds = rd.from_pandas(df.sample(frac=1.0, random_state=nparts)
-                            .reset_index(drop=True)).repartition(nparts)
-        outs.append(image_neardup_groups(ds, id_col="img_key",
-                                         num_partitions=nparts)
-                    .to_pandas().sort_values("id").reset_index(drop=True))
-    pd.testing.assert_frame_equal(outs[0], outs[1])
+    for blocks in (1, 5):
+        for nparts in (1, 7, 64):
+            ds = rd.from_pandas(df.sample(frac=1.0, random_state=nparts)
+                                .reset_index(drop=True)).repartition(blocks)
+            outs.append(image_neardup_groups(ds, id_col="img_key",
+                                             num_partitions=nparts)
+                        .to_pandas().sort_values("id").reset_index(drop=True))
+    for out in outs[1:]:
+        pd.testing.assert_frame_equal(out, outs[0])
 
 
 def test_bad_hamming_raises(ray_session):
