@@ -701,12 +701,6 @@ def _popcount64(x: np.ndarray) -> np.ndarray:
     return np.unpackbits(x.view(np.uint8).reshape(-1, 8), axis=1).sum(axis=1)
 
 
-def _check_pigeonhole(max_hamming: int) -> None:
-    if not 0 <= max_hamming <= 3:
-        raise ValueError("banded pigeonhole is lossless only for "
-                         f"max_hamming <= 3, got {max_hamming}")
-
-
 def _hamming_pairs(hashed, id_col: str, *, max_hamming: int,
                    num_partitions: int, edges: str = "all",
                    max_pairs: int | None = None):
@@ -716,7 +710,11 @@ def _hamming_pairs(hashed, id_col: str, *, max_hamming: int,
     loses no pair — pair every bucket through ``_lsh_candidates``
     (8-byte rows; the hash rides along) and keep the pairs whose
     popcount(xor) ≤ ``max_hamming``, verified inside the bucket.
-    Output ``(id_a, id_b, hamming)``."""
+    Output ``(id_a, id_b, hamming)``. Raises ``ValueError`` for
+    ``max_hamming`` > 3, where banding would silently miss pairs."""
+    if not 0 <= max_hamming <= 3:
+        raise ValueError("banded pigeonhole is lossless only for "
+                         f"max_hamming <= 3, got {max_hamming}")
 
     def to_bands(batch: pd.DataFrame) -> pd.DataFrame:
         h = np.repeat(batch["h"].to_numpy(np.int64), 4)
@@ -742,7 +740,8 @@ def simhash_pairs(ds, *, col: str = "text", id_col: str = "doc_id",
                   max_hamming: int = 3, shingle_k: int = 4, num_partitions: int = 64):
     """SimHash near-dup pairs: the 64-bit simhash per doc through the
     4×16-bit stage (``_hamming_pairs``: every in-bucket pair, exact
-    hamming verify). Returns (id_a, id_b, hamming)."""
+    hamming verify; ``max_hamming`` > 3 raises ``ValueError``). Returns
+    (id_a, id_b, hamming)."""
 
     def to_hash(batch: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame({id_col: batch[id_col].to_numpy(),
@@ -1261,7 +1260,6 @@ def image_neardup_pairs(ds, *, bytes_col: str = "bytes",
     closed-form expected pair set — correctness is pinned by pytest on
     planted noisy duplicates instead (``test_round4_ops.py``).
     """
-    _check_pigeonhole(max_hamming)
     return _hamming_pairs(_image_hashes(ds, bytes_col, id_col), id_col,
                           max_hamming=max_hamming, num_partitions=num_partitions,
                           max_pairs=_BUCKET_PAIR_CAP)
@@ -1306,7 +1304,6 @@ def image_neardup_groups(ds, *, bytes_col: str = "bytes",
     """
     from ..temporal.core import partitioned_apply
 
-    _check_pigeonhole(max_hamming)
     hashed = _image_hashes(ds, bytes_col, id_col).materialize()
 
     # Every downstream exchange moves (id, h) scalar rows — size the
@@ -1351,6 +1348,8 @@ def snapshot_diff(old_ds, new_ds, *, id_col: str = "doc_id",
     then ONE full-outer hash join on the id classifies everything —
     text never crosses an exchange. Output: ``id_col``, ``status``.
     """
+    import pyarrow as pa
+
     from ..temporal.join import hash_join
     from .text import fingerprint64
 
@@ -1365,7 +1364,7 @@ def snapshot_diff(old_ds, new_ds, *, id_col: str = "doc_id",
                        on=id_col, how="outer",
                        num_partitions=num_partitions)
 
-    def classify(df: pd.DataFrame) -> pd.DataFrame:
+    def classify(df: pd.DataFrame) -> pa.Table:
         # fingerprints arrive as NULLABLE Int64 (exact — the join's
         # typed-null restore; a float64 upcast would corrupt hashes
         # beyond 2^53); compare via plain bool arrays, never NA bools
@@ -1375,8 +1374,10 @@ def snapshot_diff(old_ds, new_ds, *, id_col: str = "doc_id",
         status = np.where(added, "added",
                           np.where(removed, "removed",
                                    np.where(differ, "changed", "unchanged")))
-        out = pd.DataFrame({id_col: df[id_col].astype("int64"),
-                            "status": status})
-        return out[out["status"] != "unchanged"]
+        keep = status != "unchanged"
+        # typed Arrow, so an all-unchanged block is an empty int64/string
+        # table rather than an empty object column
+        return pa.table({id_col: pa.array(df[id_col].to_numpy("int64")[keep], pa.int64()),
+                         "status": pa.array(status[keep], pa.string())})
 
     return joined.map_batches(classify, batch_format="pandas")

@@ -9,6 +9,19 @@ loop over rows or entities), over every whole partition in that block.
 partition (all rows of ~1/P of entities, both join sides) fits a
 worker's heap — P scales with the cluster, not hard-coded.
 
+The one-sided exchange (``partitioned_apply``) has two physical plans,
+picked by ``small_known_size`` from metadata alone, never by executing
+its input:
+
+- **local**: the input's rows and bytes are known without running it
+  (a ``MaterializedDataset``, or a bare ``read_parquet`` whose footers
+  give both) and the bytes are at most ``BROADCAST_MAX_BYTES``. The
+  kernel runs once over every row in one task — no tag, no sort. Every
+  kernel already takes several whole partitions per call, so this is
+  the ``P = 1`` case of the same kernel.
+- **shuffle**: anything else, including every lazy ``map_batches``
+  output: tag ``__part``, sort, one kernel call per sorted block.
+
 ``pd.util.hash_pandas_object`` is the hash: deterministic across
 processes (fixed-key siphash), vectorized, available on workers.
 """
@@ -16,16 +29,18 @@ processes (fixed-key siphash), vectorized, available on workers.
 from __future__ import annotations
 
 import json
+import logging
 from typing import Callable
 
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.parquet as pq
 
 DEFAULT_PARTITIONS = 64
 PART_COL = "__part"
 SIDE_COL = "__side"  # 0 = left (probe) row, 1 = right (build) row
-BROADCAST_MAX_BYTES = 64 << 20  # right sides under this go via ray.put
+BROADCAST_MAX_BYTES = 64 << 20  # broadcast right sides and local-plan inputs
 
 
 def arrow_schema(ds) -> pa.Schema:
@@ -56,16 +71,53 @@ def rename_columns(ds, mapping: dict):
     return ds.map_batches(fn, batch_format="pyarrow")
 
 
-def small_materialized(right) -> bool:
-    """The ``broadcast="auto"`` rule of the joins, from metadata only:
-    broadcast when the right side is ALREADY MATERIALIZED and
-    comfortably single-node (``size_bytes`` on a lazy lineage would
-    trigger an execution just to pick a plan); anything lazy or big
-    takes the shuffle plan, which is always correct."""
+def _footer_bytes(files: list[str]) -> int | None:
+    """Uncompressed row-group bytes from the parquet footers of
+    ``files``, read until the sum passes ``BROADCAST_MAX_BYTES``; None
+    when there is no file or one is not a readable parquet file."""
+    if not files:
+        return None
+    total = 0
+    try:
+        for f in files:
+            md = pq.read_metadata(f)
+            total += sum(md.row_group(i).total_byte_size for i in range(md.num_row_groups))
+            if total > BROADCAST_MAX_BYTES:
+                break
+    except (OSError, pa.ArrowException):
+        return None
+    return total
+
+
+def small_known_size(ds) -> tuple[int, int] | None:
+    """``(rows, bytes)`` of ``ds`` when both are known from metadata
+    alone and the bytes are at most ``BROADCAST_MAX_BYTES``; else None.
+
+    Nothing executes: rows come from Ray's metadata-only count
+    (``Dataset._meta_count``: the blocks of a materialized dataset, or
+    the footers of a bare read), bytes from the block metadata of a
+    ``MaterializedDataset`` or the footers of the read's parquet files
+    (an upper bound after a ``limit`` or a column projection). A lazy
+    ``map_batches`` output has no metadata row count, so it is None."""
     from ray.data.dataset import MaterializedDataset
 
-    return (isinstance(right, MaterializedDataset)
-            and right.size_bytes() <= BROADCAST_MAX_BYTES)
+    rows = ds._meta_count()
+    if rows is None:
+        return None
+    nbytes = (ds.size_bytes() if isinstance(ds, MaterializedDataset)
+              else _footer_bytes(ds.input_files()))
+    if nbytes is None or nbytes > BROADCAST_MAX_BYTES:
+        return None
+    return rows, nbytes
+
+
+def small_materialized(right) -> bool:
+    """The ``broadcast="auto"`` rule of the joins: broadcast when the
+    right side is ALREADY MATERIALIZED and ``small_known_size`` (a lazy
+    right side takes the shuffle plan, which is always correct)."""
+    from ray.data.dataset import MaterializedDataset
+
+    return isinstance(right, MaterializedDataset) and small_known_size(right) is not None
 
 
 def hash_partition_ids(df: pd.DataFrame, by: str | list[str], num_partitions: int) -> pd.Series:
@@ -270,14 +322,29 @@ def partitioned_apply(
     fn: Callable[[pd.DataFrame], pd.DataFrame],
     num_partitions: int = DEFAULT_PARTITIONS,
 ):
-    """hash-partition by entity key → apply ``fn`` once per sorted block.
+    """Run ``fn`` over whole entities of ``ds``, keyed by ``by``.
 
     ``fn`` receives every row of each entity it sees, but may receive
-    several whole partitions at once, or an empty frame: it must handle
-    multiple entities (vectorized ``df.groupby``). This is the shuffle
-    pattern all window operators share: one exchange on ``__part``,
-    then embarrassingly parallel block-local work.
+    several entities at once, or an empty frame: it must handle multiple
+    entities (vectorized ``df.groupby``). Two plans (module docstring),
+    chosen by ``small_known_size`` from metadata only:
+
+    - **local**: a small input of known size runs ``fn`` ONCE over all
+      of its rows, in one task — no ``__part`` tag and no sort;
+    - **shuffle**: any other input is hash-partitioned on ``by`` into
+      ``num_partitions`` partitions, sorted on ``__part``, and ``fn``
+      runs once per sorted block. ``num_partitions`` applies to this
+      plan only.
+
+    The plan is logged once per call.
     """
+    log = logging.getLogger(__name__)
+    small = small_known_size(ds)
+    if small is not None:
+        rows, nbytes = small
+        log.info("partitioned_apply plan=local rows=%d bytes=%d", rows, nbytes)
+        return ds.map_batches(fn, batch_size=max(rows, 1), batch_format="pandas")
+    log.info("partitioned_apply plan=shuffle partitions=%d", num_partitions)
     tagged = add_partition_column(ds, by, num_partitions)
 
     def run(df: pd.DataFrame) -> pd.DataFrame:

@@ -9,10 +9,12 @@ All operators share the contract:
 - deterministic order inside an entity: ``ORDER BY order_col, tiebreak``
   (ties on the timestamp are broken by an explicit unique id column —
   FIXTURES.md T2 requires the tie-break rule be pinned);
-- one hash shuffle on the entity key via ``partitioned_apply``; each
-  kernel runs once per sorted block, which may hold several whole
-  partitions (or none), in one vectorized pass over every entity of the
-  block: pandas groupby ops, and for frames one ``searchsorted`` over a
+- one exchange on the entity key via ``partitioned_apply``: a small
+  input of known size runs the kernel once over all its rows (local
+  plan), any other input is hash-shuffled and the kernel runs once per
+  sorted block, which may hold several whole partitions (or none). Each
+  call is one vectorized pass over every entity it is given: pandas
+  groupby ops, and for frames one ``searchsorted`` over a
   packed (entity code, time rank) key (``core.rank_packer``) — no Python
   loop over entities or rows.
 """

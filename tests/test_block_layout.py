@@ -1,8 +1,10 @@
 """Temporal kernels run once per sorted block, which may hold several
 whole partitions, or every salted sub-partition of a hot key at once.
-Results must not depend on that layout: ``num_partitions``, ``salt`` and
-the number of input blocks. Also the numeric edges of the vectorized
-window kernels (EWMA int64 range, one ``grid_ts`` unit)."""
+Results must not depend on that layout: ``num_partitions``, ``salt``,
+the number of input blocks, or the plan of ``partitioned_apply`` (local
+for a materialized input, shuffle for a lazy one). Also the numeric
+edges of the vectorized window kernels (EWMA int64 range, one
+``grid_ts`` unit)."""
 
 from __future__ import annotations
 
@@ -123,8 +125,12 @@ def test_results_do_not_depend_on_layout(ray_session, seed, parts, salt, blocks)
         (resample_grid, dict(value="v", freq=FREQ)),
     ]:
         kw = dict(by="user", order="ts", **kw)
-        got = fn(_ds(ev, blocks), **kw, **lay).to_pandas()
-        _same(got, _whole(fn, ev, **kw))
+        exp = _whole(fn, ev, **kw)
+        # plan axis: a materialized input takes the local plan, the same
+        # input behind an identity map is lazy and takes the shuffle plan
+        for ds in (_ds(ev, blocks),
+                   _ds(ev, blocks).map_batches(lambda b: b, batch_format="pandas")):
+            _same(fn(ds, **kw, **lay).to_pandas(), exp)
 
 
 def test_salted_asof_with_vector_column_matches_unsalted(ray_session):

@@ -83,6 +83,15 @@ def test_simhash_pairs_on_planted(ray_session, docs_pdf):
     assert simhash64(t) == simhash64(t)
 
 
+def test_simhash_pairs_rejects_lossy_banding(ray_session, docs_pdf):
+    """4×16-bit banding is lossless only up to hamming 3; past it the
+    engine would miss pairs its all-pairs oracle finds, so it raises."""
+    import ray.data as rd
+
+    with pytest.raises(ValueError, match="max_hamming <= 3"):
+        simhash_pairs(rd.from_pandas(docs_pdf.head(20)), max_hamming=4)
+
+
 def test_text_stats_oracle(docs, docs_pdf):
     out = docs.map_batches(TextStats, batch_format="pandas", concurrency=2).to_pandas()
     out = out.sort_values("doc_id").reset_index(drop=True)
