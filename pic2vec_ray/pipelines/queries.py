@@ -2821,12 +2821,15 @@ def snapshot_diff_docs(sf_dir: str):
                               columns=["doc_id", "text"])
     old = docs.filter(expr="doc_id < 400")
 
-    def edit(b: pd.DataFrame) -> pd.DataFrame:
+    def edit(b: pd.DataFrame) -> pa.Table:
         b = b[(b["doc_id"] >= 100)].copy()
         mask = (b["doc_id"] % 7 == 0)
         b.loc[mask, "text"] = b.loc[mask, "text"].str.replace(
             "data", "info", regex=False)
-        return b
+        # typed Arrow: a block of old docs only leaves as an empty
+        # int64/string table, not an empty object column
+        return pa.table({"doc_id": pa.array(b["doc_id"], pa.int64()),
+                         "text": pa.array(b["text"], pa.string())})
 
     new = docs.map_batches(edit, batch_format="pandas")
     return snapshot_diff(old, new)

@@ -15,11 +15,15 @@ Arrow ``take``. No value column goes through pandas.
   Arrow table and ``ray.put`` it; a shuffle-free ``map_batches``
   probes it. Each worker fetches it zero-copy and builds its key frame
   once, not per batch.
-- **shuffle** (both sides large): align both sides to one Arrow schema
-  (typed nulls for the other side's columns), union, hash-partition on
-  the entity key, sort on it, and merge once per sorted block. One
-  all-to-all exchange; a block holds whole partitions and partitions
-  are entity-disjoint, so the merge is local and exact.
+- **shuffle** (both sides large): each side is aligned to one Arrow
+  schema (typed nulls for the other side's columns) and hash-tagged on
+  the entity key in its own fused map (``core.tag_sides``); the union
+  is sorted on fixed ranges of ``__part`` and merged once per sorted
+  block. One all-to-all exchange; a block holds whole partitions and
+  partitions are entity-disjoint, so the merge is local and exact.
+
+Each call logs its plan once: ``plan=broadcast right_rows=…`` or
+``plan=shuffle partitions=… ranges=… hot_keys=…``.
 
 A ``fixed_size_list`` value column (an embedding) leaves as ``list``
 in both plans, and in the shuffle it is widened before the exchange, so
@@ -29,26 +33,31 @@ parquet writer rejects a ``fixed_size_list`` (or its cast to ``list``)
 with a null before a non-null slot ("Lists with non-zero length null
 components"), and Ray's ``TensorArray`` cast fails on it as well.
 
-Skew (hot ``phash``-style keys, north_rule): ``salt`` splits each hot
-key's LEFT rows across ``salt`` sub-partitions and replicates the hot
-key's RIGHT rows into every sub-partition — replication of the build
-side preserves exact as-of semantics while fanning the probe side out.
-Several sub-partitions of one key can share a block, so the merge keys
+Skew (hot ``phash``-style keys, north_rule): ``salt`` (clamped to
+``P``) spreads each hot key's LEFT rows round-robin over ``salt``
+partitions, ``(p + s·(P // salt)) mod P`` for the key's own partition
+``p``, and replicates the hot key's RIGHT rows into every one of them —
+replication of the build side preserves exact as-of semantics while
+fanning the probe side out over as many sorted ranges. Those partitions
+hold other keys too, and several can share a block, so the merge keys
 on ``(by, __part)``: each replica of the right side answers only the
-left rows of its own sub-partition.
+left rows of its own partition.
 """
 
 from __future__ import annotations
 
 import functools
+import logging
 
 import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from .core import (DEFAULT_PARTITIONS, PART_COL, SIDE_COL, add_partition_column,
-                   arrow_schema, block_apply, mark_nullable_ints, rename_columns,
-                   small_materialized, union_sides)
+from .core import (DEFAULT_PARTITIONS, PART_COL, SIDE_COL, arrow_schema, block_apply,
+                   mark_nullable_ints, rename_columns, small_materialized, sort_ranges,
+                   tag_sides)
+
+log = logging.getLogger(__name__)
 
 
 def asof_join(
@@ -154,6 +163,7 @@ def _asof_broadcast(left, right, left_schema, on, by, ron, asof):
     # the matched time adopts the left `on` type (mixed s/ns units)
     rt = rt.cast(pa.schema([pa.field(ron, left_schema.field(on).type) if f.name == ron
                             else pa.field(f.name, _widen(f.type)) for f in rt.schema]))
+    log.info("asof_join plan=broadcast right_rows=%d", len(rt))
     ref = ray.put(rt.sort_by(ron))
     rcols = [c for c in rt.column_names if c != by]
     out = pa.schema(list(left_schema) + [rt.schema.field(c) for c in rcols])
@@ -171,8 +181,9 @@ def _asof_shuffle(left, right, left_schema, right_schema, on, by, ron, value_col
     # zero-length through align, tag, sort and merge
     out = pa.schema(list(left_schema) + [pa.field(ron, left_schema.field(on).type)]
                     + [pa.field(c, _widen(right_schema.field(c).type)) for c in value_cols])
-    tagged = add_partition_column(union_sides(left, right, out), by,
-                                  num_partitions, hot_keys, salt)
+    log.info("asof_join plan=shuffle partitions=%d ranges=%d hot_keys=%d",
+             num_partitions, sort_ranges(num_partitions), len(hot_keys or ()))
+    tagged = tag_sides(left, right, out, by, num_partitions, hot_keys, salt)
     keys = [by, PART_COL]
 
     def merge(block: pa.Table) -> pa.Table:
@@ -182,4 +193,4 @@ def _asof_shuffle(left, right, left_schema, right_schema, on, by, ron, value_col
                       rkeys.sort_values(ron, kind="mergesort"), keys, out,
                       [ron] + value_cols, asof)
 
-    return block_apply(tagged, merge, batch_format="pyarrow")
+    return block_apply(tagged, merge, num_partitions, batch_format="pyarrow")

@@ -5,9 +5,21 @@ across stages: ``__part = stable_hash(entity_key) % P``. One sort on
 ``__part`` co-locates all rows of an entity in one block; a kernel then
 runs once per sorted block in vectorized pandas/numpy (never a Python
 loop over rows or entities), over every whole partition in that block.
-``P`` bounds per-partition memory: at 100 TB, pick P so the largest
-partition (all rows of ~1/P of entities, both join sides) fits a
-worker's heap — P scales with the cluster, not hard-coded.
+
+The domain ``[0, P)`` of ``__part`` is known before anything runs, so
+the sort never samples: it splits ``[0, P)`` into
+``R = min(P, 2 × cluster CPUs)`` ranges of equal width
+(``sort_ranges``), and each sorted block holds the ``P / R`` partitions
+of one range. So ``R``, not ``P``, bounds the memory of a kernel call:
+a block holds about ``1/R`` of the entities (both join sides), and
+``R`` grows with the cluster, not with the input — an input larger
+than ``R`` worker heaps needs a larger ``R`` than this rule gives.
+``P`` caps ``R`` and sets the grain of hot-key salting, which spreads
+a hot key over partitions of ``[0, P)`` (``add_partition_column``).
+
+A two-sided exchange (as-of, ``hash_join``, ``range_join``) aligns and
+tags each side in its own fused map (``tag_sides``), unions the tagged
+sides, and sorts them on those fixed ranges (``block_apply``).
 
 The one-sided exchange (``partitioned_apply``) has two physical plans,
 picked by ``small_known_size`` from metadata alone, never by executing
@@ -127,77 +139,90 @@ def hash_partition_ids(df: pd.DataFrame, by: str | list[str], num_partitions: in
 
 
 def add_partition_column(ds, by: str | list[str], num_partitions: int = DEFAULT_PARTITIONS,
-                         hot_keys: list | None = None, salt: int = 8):
-    """Append ``__part`` from the key column(s) only — Arrow in/out, so
-    the non-key columns are never converted to pandas just to hash.
+                         hot_keys: list | None = None, salt: int = 8, side: int = 0):
+    """Append ``__part = hash(by) % P`` from the key column(s) only —
+    Arrow in/out, so the non-key columns are never converted to pandas
+    just to hash.
 
-    ``hot_keys`` salts skewed keys for a two-sided exchange whose rows
-    carry ``SIDE_COL``: partition ``p`` becomes the ``salt``
-    sub-partitions ``p·salt + s``. A hot key's LEFT rows are spread
-    round-robin over them and its RIGHT rows are replicated into every
-    one (``Table.take``), so each left row still meets the key's whole
-    right side exactly once. Cold rows keep sub-partition 0."""
+    ``hot_keys`` salts skewed keys of one ``side`` of a two-sided
+    exchange (``tag_sides``) into whole partitions of ``[0, P)``:
+    ``salt`` is clamped to ``P``, and a hot key of partition ``p`` owns
+    the ``salt`` partitions ``(p + s·(P // salt)) mod P``, ``s < salt``,
+    so ``__part`` stays in ``[0, P)``. Its LEFT rows (``side=0``) are
+    spread round-robin over them and its RIGHT rows (``side=1``) are
+    replicated into every one (``Table.take``), so each left row still
+    meets the key's whole right side exactly once. Cold rows keep ``p``.
+    A salted partition holds cold keys too, so every merge keys on
+    ``(key, __part)``."""
     cols = [by] if isinstance(by, str) else list(by)
-    hot = list(hot_keys) if hot_keys else None
+    hot = list(hot_keys or ())
     if hot and len(cols) != 1:
         raise ValueError("hot-key salting supports single-key exchanges only")
+    salt = min(salt, num_partitions)
 
     def tag(batch: pa.Table) -> pa.Table:
         key = batch.select(cols).to_pandas()
         part = hash_partition_ids(key, cols, num_partitions).to_numpy()
-        if not hot:
-            return batch.append_column(PART_COL, pa.array(part))
         is_hot = key[cols[0]].isin(hot).to_numpy()
-        right = batch[SIDE_COL].to_numpy() == 1
-        cold = np.flatnonzero(~is_hot)
-        hleft = np.flatnonzero(is_hot & ~right)
-        hright = np.flatnonzero(is_hot & right)
-        take = np.concatenate([cold, hleft, np.tile(hright, salt)])
-        sub = np.concatenate([
-            np.zeros(len(cold), dtype=np.int64),
-            np.arange(len(hleft), dtype=np.int64) % salt,
-            np.repeat(np.arange(salt, dtype=np.int64), len(hright)),
-        ])
-        return batch.take(take).append_column(
-            PART_COL, pa.array(part[take] * salt + sub))
+        if is_hot.any():  # a hot right row once per salt value, hot left rows round-robin
+            rows = np.repeat(np.arange(len(part)), np.where(is_hot, salt if side else 1, 1))
+            s = np.where(is_hot[rows], np.cumsum(is_hot[rows]) - 1, 0) % salt
+            part = (part[rows] + s * (num_partitions // salt)) % num_partitions
+            batch = batch.take(rows) if side else batch
+        return batch.append_column(PART_COL, pa.array(part))
 
     return ds.map_batches(tag, batch_format="pyarrow")
 
 
-def union_sides(left, right, unified: pa.Schema):
-    """Cast both sides to one Arrow schema (typed nulls for the other
-    side's columns), tag each row's ``SIDE_COL`` and union them — the
-    front half of every two-sided exchange."""
+def tag_sides(left, right, unified: pa.Schema, by: str | list[str], num_partitions: int,
+              hot_keys: list | None = None, salt: int = 8):
+    """The front half of every two-sided exchange. Each side is cast to
+    one Arrow schema (typed nulls for the other side's columns), marked
+    with its ``SIDE_COL`` and tagged with ``__part``
+    (``add_partition_column``) in one chain of maps that Ray fuses into
+    the side's own tasks; the two tagged sides are then unioned."""
     names = unified.names
 
-    def align(side: int):
-        def fn(batch: pa.Table) -> pa.Table:
+    def side(ds, s: int):
+        def align(batch: pa.Table) -> pa.Table:
             n = len(batch)
-            cols = [
-                batch[f.name].cast(f.type) if f.name in batch.column_names
-                else pa.nulls(n, f.type)
-                for f in unified
-            ]
-            out = pa.table(cols, names=names)
-            return out.append_column(SIDE_COL, pa.array(np.full(n, side, dtype=np.int8)))
+            cols = [batch[f.name].cast(f.type) if f.name in batch.column_names
+                    else pa.nulls(n, f.type) for f in unified]
+            return pa.table(cols + [pa.array(np.full(n, s, dtype=np.int8))],
+                            names=names + [SIDE_COL])
 
-        return fn
+        return add_partition_column(ds.map_batches(align, batch_format="pyarrow"), by,
+                                    num_partitions, hot_keys, salt, side=s)
 
-    return left.map_batches(align(0), batch_format="pyarrow").union(
-        right.map_batches(align(1), batch_format="pyarrow"))
+    return side(left, 0).union(side(right, 1))
 
 
-def block_apply(tagged, fn: Callable, batch_format: str = "pandas"):
-    """Sort a ``__part``-tagged dataset and run ``fn`` once per sorted
-    block, given as a ``batch_format`` batch. A ``__part`` value never
-    spans two sort output blocks (Ray's own ``map_groups`` relies on
-    this), so ``fn`` sees every row of each partition it is given — but
-    it may be given several partitions at once, and must key its work on
-    the entity (or on ``__part`` itself, where salted sub-partitions of
-    one entity must stay apart). One call per block, not one per
-    partition. Ray passes a block without rows on without calling
-    ``fn``, as a block without columns."""
-    return tagged.sort(PART_COL).map_batches(fn, batch_size=None, batch_format=batch_format)
+def sort_ranges(num_partitions: int) -> int:
+    """How many sorted blocks an exchange over ``P`` partitions makes:
+    ``R = min(P, 2 × cluster CPUs)`` — the floor of
+    ``suggest_partitions``, enough blocks that every core gets work."""
+    return min(num_partitions, 2 * cluster_cpus())
+
+
+def block_apply(tagged, fn: Callable, num_partitions: int, batch_format: str = "pandas"):
+    """Sort a ``__part``-tagged dataset on fixed ranges and run ``fn``
+    once per sorted block, given as a ``batch_format`` batch.
+
+    The domain of ``__part`` is known before anything runs, so the sort
+    takes explicit ``boundaries`` instead of sampling them: the
+    ``sort_ranges(P)`` ranges of ``[0, P)`` of equal width. A partition
+    never spans two sort output blocks, so ``fn`` sees every row of each
+    partition it is given — but it is given the ``P / R`` partitions of
+    a range at once, and must key its work on the entity (or on
+    ``__part`` itself, where salted partitions of one entity must stay
+    apart). At ``R = 1`` the one boundary is ``P`` itself (Ray samples
+    when given none): one block holds every row, the other is empty. A
+    range without rows reaches no ``fn`` call: Ray passes it on as a
+    block without columns."""
+    r = sort_ranges(num_partitions)
+    bounds = [i * num_partitions // r for i in range(1, r)] or [num_partitions]
+    return tagged.sort(PART_COL, boundaries=bounds).map_batches(
+        fn, batch_size=None, batch_format=batch_format)
 
 
 def as_i8(values) -> np.ndarray:
@@ -282,6 +307,13 @@ def mark_nullable_ints(table: pa.Table, names: list[str]) -> pa.Table:
     return table.replace_schema_metadata({"pandas": json.dumps(meta)})
 
 
+def cluster_cpus() -> int:
+    """The CPUs of the running Ray cluster (4 without one)."""
+    import ray
+
+    return int(ray.cluster_resources().get("CPU", 4)) if ray.is_initialized() else 4
+
+
 def suggest_partitions(inputs, num_cpus: int | None = None,
                        target_bytes: int = 64 << 20,
                        lo: int = 8, hi: int = 4096) -> int:
@@ -297,12 +329,7 @@ def suggest_partitions(inputs, num_cpus: int | None = None,
     import os
 
     if num_cpus is None:
-        try:
-            import ray
-
-            num_cpus = int(ray.cluster_resources().get("CPU", 4)) if ray.is_initialized() else 4
-        except Exception:
-            num_cpus = 4
+        num_cpus = cluster_cpus()
     total = 0
     for item in inputs if isinstance(inputs, (list, tuple)) else [inputs]:
         if isinstance(item, int):
@@ -332,9 +359,9 @@ def partitioned_apply(
     - **local**: a small input of known size runs ``fn`` ONCE over all
       of its rows, in one task — no ``__part`` tag and no sort;
     - **shuffle**: any other input is hash-partitioned on ``by`` into
-      ``num_partitions`` partitions, sorted on ``__part``, and ``fn``
-      runs once per sorted block. ``num_partitions`` applies to this
-      plan only.
+      ``num_partitions`` partitions, sorted on the ``sort_ranges`` fixed
+      ranges of ``__part`` (no sampling), and ``fn`` runs once per
+      sorted block. ``num_partitions`` applies to this plan only.
 
     The plan is logged once per call.
     """
@@ -344,10 +371,11 @@ def partitioned_apply(
         rows, nbytes = small
         log.info("partitioned_apply plan=local rows=%d bytes=%d", rows, nbytes)
         return ds.map_batches(fn, batch_size=max(rows, 1), batch_format="pandas")
-    log.info("partitioned_apply plan=shuffle partitions=%d", num_partitions)
+    log.info("partitioned_apply plan=shuffle partitions=%d ranges=%d",
+             num_partitions, sort_ranges(num_partitions))
     tagged = add_partition_column(ds, by, num_partitions)
 
     def run(df: pd.DataFrame) -> pd.DataFrame:
         return fn(df.drop(columns=[PART_COL]))
 
-    return block_apply(tagged, run)
+    return block_apply(tagged, run, num_partitions)

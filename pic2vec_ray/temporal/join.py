@@ -1,10 +1,11 @@
 """Partitioned hash join for two LARGE datasets (SURVEY.md §2.4).
 
-Ray Data's portable large-large join pattern: tag each side, align
-schemas with typed Arrow nulls, union, add ``bucket = hash(key) % B``,
-sort on it once, and join matching sides inside each sorted block
-with a vectorized pandas merge keyed on ``keys + [bucket]``. One
-all-to-all exchange; buckets are key-disjoint and never span two
+Ray Data's portable large-large join pattern: align each side's schema
+with typed Arrow nulls, tag its side and ``__part = hash(key) % P`` in
+one fused map per side (``core.tag_sides``), union, sort once on fixed
+ranges of ``__part``, and join matching sides inside each sorted block
+with a vectorized pandas merge keyed on ``keys + [__part]``. One
+all-to-all exchange; partitions are key-disjoint and never span two
 blocks, so the merge is local and exact. Small sides should use a
 broadcast lookup instead (see ``pipelines/queries.q2_top_customers``);
 skewed keys use the same salt-and-replicate scheme as
@@ -17,32 +18,35 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from .core import (DEFAULT_PARTITIONS, PART_COL, SIDE_COL, add_partition_column,
-                   arrow_schema, as_i8, block_apply, rank_packer, rename_columns,
-                   restore_int_dtypes, small_materialized, union_sides)
+from .core import (DEFAULT_PARTITIONS, PART_COL, SIDE_COL, arrow_schema, as_i8,
+                   block_apply, rank_packer, rename_columns, restore_int_dtypes,
+                   small_materialized, tag_sides)
 
 
 def _union_tagged(left, right, keys: list[str], suffix: str, num_partitions: int,
                   hot_keys: list | None = None, salt: int = 8):
     """Shared co-shuffle front half of the bucketed joins: suffix right
-    value columns that clash with left names, align both sides to one
-    Arrow schema (typed nulls for the other side's columns), tag the
-    side, union, and hash-tag ``__part`` from the keys. Returns the
-    partition-tagged union, the left schema, the right value column
-    names (post-suffix), and the int-typed columns of BOTH sides (the
-    typed-null alignment turns every column float64 in pandas once the
-    other side's rows are present — the merge must cast back).
+    value columns that clash with left names, then ``core.tag_sides``:
+    align each side to one Arrow schema (typed nulls for the other
+    side's columns) and tag its side and ``__part`` from the keys in one
+    fused map per side, and union. Returns the partition-tagged union,
+    the left schema, the right value column names (post-suffix), and the
+    int-typed columns of BOTH sides (the typed-null alignment turns every
+    column float64 in pandas once the other side's rows are present —
+    the merge must cast back).
 
     ``hot_keys`` (from ``temporal.skew.detect_hot_keys``) enables the
-    same salting as ``temporal.asof``: each hot key's LEFT rows spread
-    round-robin over ``salt`` sub-partitions, its RIGHT rows replicated
-    to all of them — every left row still sees the key's full right
-    side exactly once, so left-anchored joins (inner/left/semi/anti,
-    range) are exact while the hot key's work fans out ``salt``-wide.
-    The spread assignment is arbitrary-but-deterministic per batch; any
-    assignment yields the same result set. Sub-partitions of one hot
-    key can share a sorted block, so every merge keys on ``__part``
-    as well as the join keys."""
+    same salting as ``temporal.asof``: ``salt`` is clamped to ``P``, and
+    a hot key of partition ``p`` owns the partitions
+    ``(p + s·(P // salt)) mod P``, ``s < salt``. Its LEFT rows spread
+    round-robin over them and its RIGHT rows are replicated into all of
+    them — every left row still sees the key's full right side exactly
+    once, so left-anchored joins (inner/left/semi/anti, range) are exact
+    while the hot key's work fans out ``salt``-wide. The spread
+    assignment is arbitrary-but-deterministic per batch; any assignment
+    yields the same result set. Those partitions hold other keys too and
+    can share a sorted block, so every merge keys on ``__part`` as well
+    as the join keys."""
     left_schema = arrow_schema(left)
     right_schema = arrow_schema(right)
     value_cols = [n for n in right_schema.names if n not in keys]
@@ -55,8 +59,7 @@ def _union_tagged(left, right, keys: list[str], suffix: str, num_partitions: int
     unified = pa.schema(
         list(left_schema) + [right_schema.field(c) for c in value_cols]
     )
-    both = add_partition_column(union_sides(left, right, unified), keys,
-                                num_partitions, hot_keys, salt)
+    both = tag_sides(left, right, unified, keys, num_partitions, hot_keys, salt)
     int_like = {f.name: str(f.type) for f in unified if pa.types.is_integer(f.type)}
     return both, left_schema, value_cols, int_like
 
@@ -134,7 +137,7 @@ def hash_join(
     unmatched globally.
 
     ``hot_keys``/``salt`` (see ``temporal.skew.detect_hot_keys``) fan a
-    hot key's left rows across ``salt`` sub-buckets with the right side
+    hot key's left rows across ``salt`` partitions with the right side
     replicated — exact for the LEFT-anchored modes (inner/left/semi/
     anti). right/outer reject salting: a replicated unmatched right row
     would be emitted once per replica.
@@ -214,7 +217,7 @@ def hash_join(
         return restore_int_dtypes(out, int_like,
                                   force_nullable=how in ("right", "outer"))
 
-    return block_apply(both, merge)
+    return block_apply(both, merge, num_partitions)
 
 
 def range_join(
@@ -285,7 +288,7 @@ def range_join(
         # binary-search each left row's half-open window bounds, and
         # gather exactly the surviving pairs. Peak memory = OUTPUT
         # size + the sorted index arrays. ``__part`` is part of the key:
-        # salted sub-partitions of one key may share this block.
+        # salted partitions of one key may share this block.
         kcodes = pd.concat([l[pkeys], r[pkeys]]).groupby(pkeys, sort=False).ngroup().to_numpy()
         lc, rc = kcodes[: len(l)], kcodes[len(l):]
 
@@ -307,4 +310,4 @@ def range_join(
         ridx = order[np.repeat(starts, counts) + within]
         return pairs(lidx, ridx)
 
-    return block_apply(both, merge)
+    return block_apply(both, merge, num_partitions)

@@ -1,5 +1,5 @@
 """Temporal kernels run once per sorted block, which may hold several
-whole partitions, or every salted sub-partition of a hot key at once.
+whole partitions, or every salted partition of a hot key at once.
 Results must not depend on that layout: ``num_partitions``, ``salt``,
 the number of input blocks, or the plan of ``partitioned_apply`` (local
 for a materialized input, shuffle for a lazy one). Also the numeric
@@ -79,7 +79,7 @@ def _whole(fn, df, **kw):
                                  HealthCheck.too_slow])
 @given(seed=st.integers(0, 2**16), parts=st.sampled_from([1, 7, 64]),
        salt=st.sampled_from([1, 8]), blocks=st.sampled_from([1, 5]))
-@example(seed=3, parts=1, salt=8, blocks=1)   # every sub-partition in one call
+@example(seed=3, parts=1, salt=8, blocks=1)   # every partition in one call
 @example(seed=4, parts=64, salt=8, blocks=5)
 @example(seed=5, parts=7, salt=1, blocks=1)
 def test_results_do_not_depend_on_layout(ray_session, seed, parts, salt, blocks):
@@ -161,6 +161,103 @@ def test_salted_asof_with_vector_column_matches_unsalted(ray_session):
     assert len(salted) == len(obs)
     assert salted.features.notna().any()
     _same(salted, plain)
+
+
+def _no_sampling(monkeypatch):
+    """Make Ray's sort raise if it samples its range boundaries."""
+    from ray.data._internal.planner.exchange.sort_task_spec import SortTaskSpec
+
+    def sample(*a, **kw):
+        raise AssertionError("the exchange sampled its sort boundaries")
+
+    monkeypatch.setattr(SortTaskSpec, "sample_boundaries", staticmethod(sample))
+
+
+@pytest.mark.parametrize("parts", [1, 7, 64])
+def test_no_exchange_samples(ray_session, monkeypatch, caplog, parts):
+    """``__part``'s domain is known, so every two-sided exchange and the
+    shuffle plan of ``partitioned_apply`` sort on fixed ranges of it."""
+    import logging
+
+    from pic2vec_ray.temporal.asof import asof_join
+    from pic2vec_ray.temporal.core import sort_ranges
+    from pic2vec_ray.temporal.join import hash_join, range_join
+    from pic2vec_ray.temporal.windows import rolling_range_agg, sessionize
+
+    _no_sampling(monkeypatch)
+    caplog.set_level(logging.INFO, logger="pic2vec_ray.temporal")
+    ev, obs, right = _frames(21)
+    lay = dict(num_partitions=parts)
+
+    exp = pd.merge_asof(obs.sort_values("ts"), right.sort_values("ts_r"), left_on="ts",
+                        right_on="ts_r", by="user")
+    for hk in (None, [0]):
+        got = asof_join(_ds(obs, 3), _ds(right, 2), on="ts", by="user", right_on="ts_r",
+                        hot_keys=hk, salt=4, **lay).to_pandas()
+        _same(got, exp)
+        assert (f"asof_join plan=shuffle partitions={parts} ranges={sort_ranges(parts)} "
+                f"hot_keys={len(hk or ())}") in caplog.text
+
+    rj = right.rename(columns={"ts_r": "t2"})
+    for how in ("inner", "left", "right", "outer", "semi", "anti"):
+        got = hash_join(_ds(obs, 3), _ds(rj, 2), on="user", how=how, broadcast=False,
+                        **lay).to_pandas()
+        if how in ("semi", "anti"):
+            mask = obs.user.isin(rj.user)
+            exp = obs[mask] if how == "semi" else obs[~mask]
+        else:
+            exp = obs.merge(rj, on="user", how=how)
+        _same(got, exp)
+
+    got = range_join(_ds(obs, 3), _ds(rj, 2), on="user", left_ts="ts", right_ts="t2",
+                     min_delta=-W, max_delta=pd.Timedelta(0), **lay).to_pandas()
+    pairs = obs.merge(rj, on="user")
+    _same(got, pairs[(pairs.t2 >= pairs.ts - W) & (pairs.t2 < pairs.ts)])
+
+    for fn, kw in [(rolling_range_agg, dict(value="v", window=W, agg="sum", tiebreak="eid")),
+                   (sessionize, dict(gap=GAP, tiebreak="eid"))]:
+        kw = dict(by="user", order="ts", **kw)
+        lazy = _ds(ev, 3).map_batches(lambda b: b, batch_format="pandas")
+        _same(fn(lazy, **kw, **lay).to_pandas(), _whole(fn, ev, **kw))
+    assert (f"partitioned_apply plan=shuffle partitions={parts} "
+            f"ranges={sort_ranges(parts)}") in caplog.text
+
+
+def test_salt_spreads_a_hot_key_over_partitions(ray_session):
+    """``salt=4`` at ``P=8``: a hot key of partition ``p`` owns the
+    partitions ``(p + 2s) mod 8``. Its left rows spread over them and
+    reach ``min(4, R)`` sorted blocks; each right row is replicated into
+    every one. ``salt=8`` at ``P=2`` is clamped to 2."""
+    import ray
+    import ray.data as rd
+
+    from pic2vec_ray.temporal.asof import asof_join
+    from pic2vec_ray.temporal.core import (PART_COL, add_partition_column,
+                                           hash_partition_ids, sort_ranges)
+
+    ev, obs, right = _frames(21)
+    p = int(hash_partition_ids(pd.DataFrame({"user": [0]}), "user", 8)[0])
+    owned = {(p + 2 * s) % 8 for s in range(4)}
+    for side, df in ((0, obs), (1, right)):
+        t = add_partition_column(rd.from_pandas(df), "user", 8, [0], 4, side=side).to_pandas()
+        hot = t[t.user == 0]
+        assert t[PART_COL].between(0, 7).all()
+        assert set(hot[PART_COL]) == owned
+        if side:  # every hot right row once in each owned partition
+            assert len(hot) == 4 * (right.user == 0).sum()
+            assert (hot.groupby(["ts_r", PART_COL]).size() == 1).all()
+    assert len(t[t.user != 0]) == (right.user != 0).sum()
+
+    def run(parts, hot_keys, salt):
+        ds = asof_join(_ds(obs, 1), _ds(right, 2), on="ts", by="user", right_on="ts_r",
+                       num_partitions=parts, hot_keys=hot_keys, salt=salt)
+        return [b.to_pandas() for b in ray.get(ds.to_arrow_refs()) if b.num_rows]
+
+    salted = run(8, [0], 4)
+    assert (obs.user == 0).sum() >= 4
+    assert sum(bool((b.user == 0).any()) for b in salted) >= min(4, sort_ranges(8))
+    _same(pd.concat(salted), pd.concat(run(8, None, 8)))
+    _same(pd.concat(run(2, [0], 8)), pd.concat(run(2, None, 8)))
 
 
 def test_ewma_large_values_do_not_wrap(ray_session):
