@@ -16,11 +16,15 @@ Implemented from the public ITU-T T.81 spec:
   markers, byte-stuffing. Progressive support is full: spectral
   selection, successive approximation (DC and AC first + refinement
   scans incl. correction bits), EOB runs with appended bits, ZRL in
-  refinement. The baseline Huffman scan is the only hot per-symbol
-  Python loop (16-bit lookahead LUTs, hand-inlined bit buffer);
-  everything after entropy decode — dequantization, inverse zigzag,
-  IDCT (two matmuls over all blocks at once), chroma upsampling,
-  YCbCr→RGB — is vectorized numpy shared by both paths. Arithmetic
+  refinement. Both scan types share one bit reader: numpy builds the
+  16-bit lookahead at every bit position of each entropy segment, and a
+  1,024-entry value-folded table (T.81 Annex F lookahead with the
+  magnitude bits folded in, as libjpeg does) decodes most symbols in
+  one lookup, with the 16-bit packed table as the fallback. The
+  per-symbol Huffman loop is the only hot Python loop; everything after
+  entropy decode — dequantization, inverse zigzag, IDCT (two matrix
+  contractions over all blocks at once), chroma upsampling, YCbCr→RGB —
+  is vectorized numpy shared by both paths. Arithmetic
   coding / hierarchical / 12-bit raise :class:`JpegError`
   (→ missing-row semantics downstream, same as any corrupt payload).
 - **encoder**: 4:4:4 or 4:2:0, Annex-K quantization tables scaled by
@@ -41,6 +45,7 @@ conforming IDCT implementation (the exactness tests rely on this).
 from __future__ import annotations
 
 import struct
+from array import array
 
 import numpy as np
 
@@ -170,18 +175,32 @@ def _canonical_codes(bits: list[int], vals: list[int]) -> dict[int, tuple[int, i
     return codes
 
 
-_LUT_CACHE: dict[tuple, list[int]] = {}
+_FAST_BITS = 10  # 1,024 entries; 11 or 12 cost 2-3x the build for no measured gain
+_FAST_SHIFT = 16 - _FAST_BITS
+# a block reads at most 64 symbols of ≤ 32 bits (code + magnitude), so
+# this much zero padding after a segment keeps every window read in range
+_PAD_BYTES = 64 * 32 // 8 + 2
+_WINDOW_SHIFTS = np.arange(8, 0, -1, dtype=np.uint32)
+_LUT_CACHE: dict[tuple, tuple[list[int], list]] = {}
 
 
-def _decode_lut(bits: list[int], vals: list[int]) -> list[int]:
-    """16-bit-lookahead LUT: index by the next 16 bits → one PACKED int
-    ``(code_length << 8) | symbol`` (0 = invalid prefix) — a single list
-    index per decoded symbol instead of separate (symbol, length)
-    tables.
+def _decode_lut(bits: list[int], vals: list[int]) -> tuple[list[int], list]:
+    """One DHT table → ``(packed, fast)`` decode tables.
+
+    ``packed`` is indexed by the next 16 bits → one PACKED int
+    ``(code_length << 8) | symbol`` (0 = invalid prefix). ``fast``
+    (T.81 Annex F lookahead, with the magnitude bits folded in as
+    libjpeg does) is indexed by the next ``_FAST_BITS`` bits →
+    ``(bits consumed, advance, value)`` wherever the code plus its
+    magnitude bits fit in those bits, else None. The advance is
+    run + 1 for a coefficient, 16 for ZRL and 0 for EOB; the value is
+    the signed coefficient (0 for ZRL and EOB). Read as a DC table, an
+    entry with advance < 2 is ``(bits consumed, _, diff)``.
 
     Cached by table content — building the 65536-entry table costs
     ~10 ms, and real corpora reuse the Annex-K tables for every image
-    (a decode actor pays it once per distinct table, not per image)."""
+    (a warm decode worker pays it once per distinct table, not per
+    image)."""
     key = (tuple(bits), tuple(vals))
     hit = _LUT_CACHE.get(key)
     if hit is not None:
@@ -199,9 +218,25 @@ def _decode_lut(bits: list[int], vals: list[int]) -> list[int]:
             code += 1
             k += 1
         code <<= 1
-    if len(_LUT_CACHE) < 64:  # bound actor memory on adversarial inputs
-        _LUT_CACHE[key] = packed
-    return packed
+    fast = []
+    interned: dict[tuple, tuple] = {}
+    for idx in range(1 << _FAST_BITS):
+        e = packed[idx << _FAST_SHIFT]
+        sym = e & 0xFF
+        s = sym & 0xF
+        n = (e >> 8) + s
+        if e < 256 or n > _FAST_BITS or not (s or sym in (0x00, 0xF0)):
+            fast.append(None)
+            continue
+        if s:
+            t = (n, (sym >> 4) + 1,
+                 _extend((idx >> (_FAST_BITS - n)) & ((1 << s) - 1), s))
+        else:
+            t = (n, 16 if sym else 0, 0)
+        fast.append(interned.setdefault(t, t))
+    if len(_LUT_CACHE) < 64:  # bound worker memory on adversarial inputs
+        _LUT_CACHE[key] = (packed, fast)
+    return packed, fast
 
 
 class _BitWriter:
@@ -673,7 +708,7 @@ def decode_jpeg(data: bytes) -> np.ndarray:
     if len(data) < 4 or data[:2] != b"\xff\xd8":
         raise JpegError("not a JPEG (missing SOI)")
     qts: dict[int, np.ndarray] = {}
-    dc_luts: dict[int, tuple[list, list]] = {}
+    dc_luts: dict[int, tuple[list, list]] = {}  # slot → (packed, fast)
     ac_luts: dict[int, tuple[list, list]] = {}
     restart = 0
     frame = None
@@ -771,14 +806,15 @@ def decode_jpeg(data: bytes) -> np.ndarray:
     mcuy = (h + 8 * vmax - 1) // (8 * vmax)
     n_mcus = mcux * mcuy
     for c in comps:
-        c["coef"] = np.zeros((mcuy * c["v"] * mcux * c["h"], 64), dtype=np.int32)
+        # flat zigzag-ordered coefficients, 64 per block
+        c["coef"] = array("i", bytes(4 * 64 * mcuy * c["v"] * mcux * c["h"]))
         # non-interleaved scans walk the component's OWN block grid
         c["bw"] = (w * c["h"] + 8 * hmax - 1) // (8 * hmax)
         c["bh"] = (h * c["v"] + 8 * vmax - 1) // (8 * vmax)
         c["row_blocks"] = mcux * c["h"]
 
     if progressive:
-        _decode_progressive_scans(comps, scans, mcux, mcuy, n_mcus)
+        _decode_progressive_scans(comps, scans, mcux, n_mcus)
         return _reconstruct(comps, qts, mcux, mcuy, hmax, vmax, h, w)
 
     for c in comps:
@@ -790,140 +826,86 @@ def decode_jpeg(data: bytes) -> np.ndarray:
         c["dc_lut"] = sc["dc_lut"]
         c["ac_lut"] = sc["ac_lut"]
 
-    # ---- the Huffman scan: the only per-symbol Python loop. The bit
-    # buffer is hand-inlined (locals, no method calls) — measured ~3×
-    # faster than a reader object at ~26k symbols per small image. ----
-    mcu_no = 0
+    # ---- the Huffman scan: the only per-symbol Python loop. Most
+    # symbols cost one window read and one fast-table hit that yields
+    # the bits consumed, the advance and the signed value together. ----
     seg_iter = iter(segments)
-    sdata = next(seg_iter)
-    slen = len(sdata)
-    spos = 0
-    acc = 0
-    nbits = 0
-    preds = {c["id"]: 0 for c in comps}
-    # per-component flat plan: (pred_key, packed DC LUT, packed AC LUT,
-    # coef position/value sinks, sampling geometry) — precomputed once
-    plan = []
-    for c in comps:
-        cv, ch = c["v"], c["h"]
-        row_blocks = mcux * ch
-        c["pos"] = []  # flat coefficient positions, filled by the scan
-        c["val"] = []
-        plan.append((c["id"], c["dc_lut"], c["ac_lut"], c["pos"], c["val"],
-                     cv, ch, row_blocks))
-    from_bytes = int.from_bytes
-    # 64-bit refills via a prebound Struct halve the refill count and skip
-    # the per-refill bytes-slice allocation (measured ~20% faster than
-    # 32-bit slice+int.from_bytes on the simulated symbol loop)
-    unpack_q = struct.Struct(">Q").unpack_from
-    my = mx = 0
-    while mcu_no < n_mcus:
+    win, end = _bit_windows(next(seg_iter))
+    p = 0
+    plan = [(*c["dc_lut"], *c["ac_lut"], c["coef"]) for c in comps]
+    preds = [0] * len(plan)
+    shift = _FAST_SHIFT
+    mcus = zip(*[_block_offsets(c, mcux, n_mcus) for c in comps])
+    for mcu_no, mcu in enumerate(mcus):
         if restart and mcu_no and mcu_no % restart == 0:
-            try:
-                sdata = next(seg_iter)
-            except StopIteration as exc:
-                raise JpegError("missing restart segment") from exc
-            slen = len(sdata)
-            spos = 0
-            acc = 0
-            nbits = 0
-            preds = {c["id"]: 0 for c in comps}
-        for cid, dtab, atab, pos, val, cv, ch, row_blocks in plan:
-            for v in range(cv):
-                base = (my * cv + v) * row_blocks + mx * ch
-                for u in range(ch):
-                    boff = (base + u) << 6  # flat offset of this block
-                    # --- DC symbol ---
-                    if nbits < 32:
-                        if spos + 8 <= slen:
-                            acc = (acc << 64) | unpack_q(sdata, spos)[0]
-                            spos += 8
-                        else:
-                            tail = sdata[spos:spos + 8]
-                            acc = ((acc << 64)
-                                   | (from_bytes(tail, "big") << (8 * (8 - len(tail)))))
-                            spos = slen
-                        nbits += 64
-                    look = (acc >> (nbits - 16)) & 0xFFFF
-                    e = dtab[look]
-                    if e < 256:
-                        raise JpegError("bad DC Huffman code")
-                    nbits -= e >> 8
-                    s = e & 0xFF
-                    if s:
-                        nbits -= s  # post-refill nbits >= 16 ≥ ln+s? no: ln+s ≤ 27
-                        if nbits < 0:
-                            raise JpegError("bit underrun")
-                        r = (acc >> nbits) & ((1 << s) - 1)
-                        diff = r - (1 << s) + 1 if r < (1 << (s - 1)) else r
-                    else:
-                        diff = 0
-                    pred = preds[cid] + diff
-                    preds[cid] = pred
-                    pos.append(boff)
-                    val.append(pred)
-                    # --- AC symbols ---
-                    k = 1
-                    while k < 64:
-                        if nbits < 32:
-                            if spos + 8 <= slen:
-                                acc = ((acc << 64)
-                                       | unpack_q(sdata, spos)[0])
-                                spos += 8
-                            else:
-                                tail = sdata[spos:spos + 8]
-                                acc = ((acc << 64)
-                                       | (from_bytes(tail, "big") << (8 * (8 - len(tail)))))
-                                spos = slen
-                            nbits += 64
-                        look = (acc >> (nbits - 16)) & 0xFFFF
-                        e = atab[look]
-                        if e < 256:
-                            raise JpegError("bad AC Huffman code")
-                        nbits -= e >> 8
-                        rs = e & 0xFF
-                        if rs == 0x00:  # EOB
-                            break
-                        if rs == 0xF0:  # ZRL
+            win, end = _next_windows(seg_iter)
+            p = 0
+            preds = [0] * len(plan)
+        for ci, (dtab, dfast, atab, afast, coef) in enumerate(plan):
+            pred = preds[ci]
+            for boff in mcu[ci]:
+                if p > end:  # past the data every window reads zero
+                    p = end
+                look = win[p]
+                e = dfast[look >> shift]
+                if e is not None and e[1] < 2:  # a DC category ≤ 15
+                    p += e[0]
+                    pred += e[2]
+                else:
+                    p, diff = _dc_slow(win, p, dtab, look)
+                    pred += diff
+                coef[boff] = pred
+                k = boff  # last flat position filled
+                last = boff + 63
+                while k < last:
+                    look = win[p]
+                    e = afast[look >> shift]
+                    if e is not None:
+                        n, adv, val = e
+                        p += n
+                        if val:
+                            k += adv
+                            if k > last:
+                                raise JpegError("AC index overrun")
+                            coef[k] = val
+                        elif adv:  # ZRL
                             k += 16
-                            continue
-                        k += rs >> 4
-                        s = rs & 0xF
-                        if k > 63:
-                            raise JpegError("AC index overrun")
-                        nbits -= s  # ln+s ≤ 16+11 < 32 post-refill: safe
-                        r = (acc >> nbits) & ((1 << s) - 1)
-                        val.append(r - (1 << s) + 1 if r < (1 << (s - 1)) else r)
-                        pos.append(boff + k)
-                        k += 1
-                    # bound the arbitrary-precision accumulator
-                    acc &= (1 << nbits) - 1
-        mcu_no += 1
-        mx += 1
-        if mx == mcux:
-            mx = 0
-            my += 1
-
-    # ---- everything below is vectorized over all blocks at once ----
-    for c in comps:
-        # ONE bulk scatter of all decoded coefficients per component
-        # (per-block numpy stores cost ~25% of small-image decode time)
-        c["coef"].reshape(-1)[np.array(c["pos"], dtype=np.int64)] = c["val"]
+                        else:  # EOB
+                            break
+                        continue
+                    p, rs = _ac_slow(p, atab, look)
+                    if rs == 0x00:  # EOB
+                        break
+                    if rs == 0xF0:  # ZRL
+                        k += 16
+                        continue
+                    k += (rs >> 4) + 1
+                    s = rs & 0xF
+                    if k > last:
+                        raise JpegError("AC index overrun")
+                    if not s:
+                        raise JpegError("bad AC run/size symbol")
+                    coef[k] = _extend(win[p] >> (16 - s), s)
+                    p += s
+            preds[ci] = pred
     return _reconstruct(comps, qts, mcux, mcuy, hmax, vmax, h, w)
 
 
 def _reconstruct(comps, qts, mcux, mcuy, hmax, vmax, h, w) -> np.ndarray:
     """Dequantize + inverse-zigzag + IDCT + upsample + color convert —
     shared by the baseline and progressive paths (both leave their
-    result in the per-component ``coef`` arrays)."""
+    result in the per-component flat ``coef`` arrays)."""
     planes = []
     for c in comps:
-        qt = qts[c["tq"]]
-        # coefficients are zigzag-ordered — dequantize with the
-        # zigzag-ordered table, THEN invert the ordering
-        deq = c["coef"].astype(np.float64) * qt[ZIGZAG][None, :]
-        blocks = deq[:, UNZIGZAG].reshape(-1, 8, 8)
-        pix = np.einsum("ik,ykl,jl->yij", _C.T, blocks, _C.T, optimize=True) + 128.0
+        coef = np.frombuffer(c["coef"], dtype=np.intc).reshape(-1, 64)
+        # coefficients are zigzag-ordered: reorder to natural order, then
+        # dequantize in integers (exact) before the float cast
+        blocks = (coef[:, UNZIGZAG] * qts[c["tq"]]).astype(np.float64).reshape(-1, 8, 8)
+        # f = Cᵀ·F·C as the two BLAS contractions (and in the order)
+        # that np.einsum("ik,ykl,jl->yij", Cᵀ, F, Cᵀ, optimize=True)
+        # runs, so the floats are bitwise those of that einsum
+        pix = np.tensordot(np.tensordot(blocks, _C.T, axes=((1,), (1,))),
+                           _C.T, axes=((1,), (1,))) + 128.0
         by, bx = mcuy * c["v"], mcux * c["h"]
         plane = pix.reshape(by, bx, 8, 8).transpose(0, 2, 1, 3).reshape(by * 8, bx * 8)
         # upsample to full MCU-grid resolution, then crop to (h, w)
@@ -943,67 +925,76 @@ def _reconstruct(comps, qts, mcux, mcuy, hmax, vmax, h, w) -> np.ndarray:
     return np.clip(np.round(rgb), 0, 255).astype(np.uint8)
 
 
+# ------------------------------------- scan helpers (baseline + progressive)
+
+
+def _bit_windows(seg: bytes) -> tuple[memoryview, int]:
+    """Unstuffed entropy segment → (the 16-bit lookahead at every bit
+    position, the segment's length in bits).
+
+    Window ``8i + j`` is byte triple ``i`` shifted right by ``8 - j``.
+    Bits past the segment read as zero, as T.81 decoders pad a short
+    scan; the zero padding covers one block past ``end``, and the scans
+    clamp the position to ``end`` before each block (every window from
+    ``end`` on is zero)."""
+    b = np.frombuffer(seg + bytes(_PAD_BYTES), dtype=np.uint8).astype(np.uint32)
+    triples = (b[:-2] << 16) | (b[1:-1] << 8) | b[2:]
+    win = (triples[:, None] >> _WINDOW_SHIFTS).astype(np.uint16)
+    return memoryview(win.reshape(-1)), 8 * len(seg)
+
+
+def _next_windows(seg_iter) -> tuple[memoryview, int]:
+    try:
+        return _bit_windows(next(seg_iter))
+    except StopIteration as exc:
+        raise JpegError("missing restart segment") from exc
+
+
+def _extend(r: int, s: int) -> int:
+    """``s`` received magnitude bits → signed value (T.81 F.2.2.1)."""
+    return r - (1 << s) + 1 if r < (1 << (s - 1)) else r
+
+
+def _dc_slow(win, p: int, tab: list[int], look: int) -> tuple[int, int]:
+    """A DC symbol the fast table does not hold → (new position, diff)."""
+    e = tab[look]
+    if e < 256:
+        raise JpegError("bad DC Huffman code")
+    p += e >> 8
+    s = e & 0xFF
+    if not s:
+        return p, 0
+    if s > 16:  # T.81 allows 11 for 8-bit samples
+        raise JpegError("bad DC magnitude category")
+    return p + s, _extend(win[p] >> (16 - s), s)
+
+
+def _ac_slow(p: int, tab: list[int], look: int) -> tuple[int, int]:
+    """An AC symbol the fast table does not hold → (new position, RS)."""
+    e = tab[look]
+    if e < 256:
+        raise JpegError("bad AC Huffman code")
+    return p + (e >> 8), e & 0xFF
+
+
+def _block_offsets(c, mcux: int = 0, n_mcus: int = 0) -> list:
+    """Flat ``coef`` offsets of a component's blocks in scan order.
+
+    Without ``mcux``: one offset per block, row-major over the
+    component's own grid (a non-interleaved scan). With it: per MCU, the
+    list of the component's blocks in that MCU (an interleaved scan)."""
+    if not mcux:
+        by, bx = np.divmod(np.arange(c["bw"] * c["bh"]), c["bw"])
+        return ((by * c["row_blocks"] + bx) << 6).tolist()
+    my, mx = np.divmod(np.arange(n_mcus)[:, None], mcux)
+    v, u = np.divmod(np.arange(c["v"] * c["h"]), c["h"])
+    return (((my * c["v"] + v) * c["row_blocks"] + mx * c["h"] + u) << 6).tolist()
+
+
 # ----------------------------------------------------------- progressive
 
 
-class _Bits:
-    """MSB-first bit reader over unstuffed entropy segments (progressive
-    scans decode far fewer symbols per scan than the fused baseline
-    loop, so a reader object is fine here)."""
-
-    __slots__ = ("data", "pos", "acc", "nbits")
-
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
-        self.acc = 0
-        self.nbits = 0
-
-    _unpack_q = struct.Struct(">Q").unpack_from
-
-    def _fill(self):
-        # one 64-bit refill instead of byte-at-a-time (same trick as the
-        # baseline loop); past-end pads zero bits, matching the spec's
-        # decode-beyond-EOI tolerance
-        data, pos = self.data, self.pos
-        if pos + 8 <= len(data):
-            self.acc = (self.acc << 64) | self._unpack_q(data, pos)[0]
-            self.pos = pos + 8
-        else:
-            tail = data[pos:pos + 8]
-            self.acc = ((self.acc << 64)
-                        | (int.from_bytes(tail, "big") << (8 * (8 - len(tail)))))
-            self.pos = len(data)
-        self.nbits += 64
-        self.acc &= (1 << self.nbits) - 1
-
-    def huff(self, lut) -> int:
-        if self.nbits < 16:
-            self._fill()
-        look = (self.acc >> (self.nbits - 16)) & 0xFFFF
-        e = lut[look]
-        if e < 256:  # length 0 → invalid prefix
-            raise JpegError("bad Huffman code")
-        self.nbits -= e >> 8
-        return e & 0xFF
-
-    def receive(self, n: int) -> int:
-        if n == 0:
-            return 0
-        if self.nbits < n:
-            self._fill()
-        self.nbits -= n
-        return (self.acc >> self.nbits) & ((1 << n) - 1)
-
-
-def _comp_block_index(c, b: int) -> int:
-    """Non-interleaved block ``b`` (row-major over the component's own
-    grid) → row index into the MCU-padded coef array."""
-    by, bx = divmod(b, c["bw"])
-    return by * c["row_blocks"] + bx
-
-
-def _decode_progressive_scans(comps, scans, mcux, mcuy, n_mcus):
+def _decode_progressive_scans(comps, scans, mcux, n_mcus):
     by_id = {c["id"]: c for c in comps}
     for scan in scans:
         ss, se = scan["Ss"], scan["Se"]
@@ -1014,8 +1005,7 @@ def _decode_progressive_scans(comps, scans, mcux, mcuy, n_mcus):
         if ss == 0:
             if se != 0:
                 raise JpegError("progressive scan mixes DC and AC")
-            _scan_dc(by_id, sc_list, segs, restart, ah, al,
-                     mcux, mcuy, n_mcus)
+            _scan_dc(by_id, sc_list, segs, restart, ah, al, mcux, n_mcus)
         else:
             if len(sc_list) != 1:
                 raise JpegError("progressive AC scans are single-component")
@@ -1031,7 +1021,7 @@ def _decode_progressive_scans(comps, scans, mcux, mcuy, n_mcus):
                 _scan_ac_refine(c, lut, segs, restart, ss, se, al)
 
 
-def _scan_dc(by_id, sc_list, segs, restart, ah, al, mcux, mcuy, n_mcus):
+def _scan_dc(by_id, sc_list, segs, restart, ah, al, mcux, n_mcus):
     scs = []
     for sc in sc_list:
         c = by_id.get(sc["id"])
@@ -1039,159 +1029,165 @@ def _scan_dc(by_id, sc_list, segs, restart, ah, al, mcux, mcuy, n_mcus):
             raise JpegError("scan/frame component mismatch")
         if ah == 0 and sc["dc_lut"] is None:
             raise JpegError("DC scan references an undefined Huffman table")
-        scs.append((c, sc["dc_lut"] if ah == 0 else None))
+        scs.append((c, sc["dc_lut"] if ah == 0 else (None, None)))
     seg_iter = iter(segs)
-    rdr = _Bits(next(seg_iter))
-    preds = {c["id"]: 0 for c, _ in scs}
-    interleaved = len(scs) > 1
-    n_units = n_mcus if interleaved else \
-        scs[0][0]["bw"] * scs[0][0]["bh"]
-    for unit in range(n_units):
+    win, end = _bit_windows(next(seg_iter))
+    p = 0
+    preds = [0] * len(scs)
+    if len(scs) > 1:  # interleaved: units are MCUs
+        units = zip(*[_block_offsets(c, mcux, n_mcus) for c, _ in scs])
+    else:  # units are the component's blocks
+        units = (([o],) for o in _block_offsets(scs[0][0]))
+    bit = 1 << al
+    for unit, offs in enumerate(units):
         if restart and unit and unit % restart == 0:
-            try:
-                rdr = _Bits(next(seg_iter))
-            except StopIteration as exc:
-                raise JpegError("missing restart segment") from exc
-            preds = {c["id"]: 0 for c, _ in scs}
-        if interleaved:
-            my, mx = divmod(unit, mcux)
-            for c, lut in scs:
-                cv, ch = c["v"], c["h"]
-                for v in range(cv):
-                    for u in range(ch):
-                        bidx = (my * cv + v) * c["row_blocks"] + mx * ch + u
-                        _dc_one(c, lut, rdr, preds, bidx, ah, al)
-        else:
-            c, lut = scs[0]
-            _dc_one(c, lut, rdr, preds, _comp_block_index(c, unit), ah, al)
-
-
-def _dc_one(c, lut, rdr, preds, bidx, ah, al):
-    coef = c["coef"]
-    if ah == 0:  # first DC scan: diffs of DC >> Al (arithmetic shift)
-        s = rdr.huff(lut)
-        diff = 0
-        if s:
-            r = rdr.receive(s)
-            diff = r - (1 << s) + 1 if r < (1 << (s - 1)) else r
-        preds[c["id"]] += diff
-        coef[bidx, 0] = preds[c["id"]] << al
-    else:  # refinement: one more low-order bit
-        if rdr.receive(1):
-            coef[bidx, 0] |= 1 << al
+            win, end = _next_windows(seg_iter)
+            p = 0
+            preds = [0] * len(scs)
+        if p > end:
+            p = end
+        for ci, ((c, (tab, fast)), blocks) in enumerate(zip(scs, offs)):
+            coef = c["coef"]
+            for o in blocks:
+                if ah:  # refinement: one more low-order bit
+                    if win[p] >> 15:
+                        coef[o] |= bit
+                    p += 1
+                    continue
+                # first DC scan: diffs of DC >> Al (arithmetic shift)
+                look = win[p]
+                e = fast[look >> _FAST_SHIFT]
+                if e is not None and e[1] < 2:
+                    p += e[0]
+                    diff = e[2]
+                else:
+                    p, diff = _dc_slow(win, p, tab, look)
+                preds[ci] += diff
+                coef[o] = preds[ci] << al
 
 
 def _scan_ac_first(c, lut, segs, restart, ss, se, al):
+    tab, fast = lut
     coef = c["coef"]
     seg_iter = iter(segs)
-    rdr = _Bits(next(seg_iter))
+    win, end = _bit_windows(next(seg_iter))
+    p = 0
     eobrun = 0
-    n_blocks = c["bw"] * c["bh"]
-    for b in range(n_blocks):
+    for b, o in enumerate(_block_offsets(c)):
         if restart and b and b % restart == 0:
-            try:
-                rdr = _Bits(next(seg_iter))
-            except StopIteration as exc:
-                raise JpegError("missing restart segment") from exc
+            win, end = _next_windows(seg_iter)
+            p = 0
             eobrun = 0
         if eobrun > 0:
             eobrun -= 1
             continue
-        bidx = _comp_block_index(c, b)
-        k = ss
-        while k <= se:
-            rs = rdr.huff(lut)
+        if p > end:
+            p = end
+        k = o + ss - 1  # last flat position filled
+        last = o + se
+        while k < last:
+            look = win[p]
+            e = fast[look >> _FAST_SHIFT]
+            if e is not None:
+                n, adv, val = e
+                p += n
+                if val:
+                    k += adv
+                    if k > last:
+                        raise JpegError("AC band overrun")
+                    coef[k] = val << al
+                elif adv:  # ZRL
+                    k += 16
+                else:  # EOB0: this block only
+                    break
+                continue
+            p, rs = _ac_slow(p, tab, look)
             r, s = rs >> 4, rs & 0xF
             if s == 0:
                 if r < 15:  # EOBn: run of (1<<r) + appended blocks
-                    eobrun = (1 << r) - 1
-                    if r:
-                        eobrun += rdr.receive(r)
+                    eobrun = (1 << r) - 1 + (win[p] >> (16 - r))
+                    p += r
                     break
                 k += 16  # ZRL
                 continue
-            k += r
-            if k > se:
+            k += r + 1
+            if k > last:
                 raise JpegError("AC band overrun")
-            v = rdr.receive(s)
-            v = v - (1 << s) + 1 if v < (1 << (s - 1)) else v
-            coef[bidx, k] = v << al
-            k += 1
+            coef[k] = _extend(win[p] >> (16 - s), s) << al
+            p += s
 
 
 def _scan_ac_refine(c, lut, segs, restart, ss, se, al):
-    # Hot path of progressive decode: per-block work runs on a plain
-    # Python list (scalar numpy indexing is ~4× slower), and the EOB
-    # region reads ALL its correction bits in ONE receive(n) — the
-    # stream holds exactly one bit per surviving nonzero, in order.
+    # Each nonzero coefficient of the band that the scan passes reads one
+    # correction bit; a new coefficient (magnitude 1) lands on the r-th
+    # zero-history position.
+    tab, fast = lut
     coef = c["coef"]
     p1 = 1 << al
     m1 = -p1
     seg_iter = iter(segs)
-    rdr = _Bits(next(seg_iter))
+    win, end = _bit_windows(next(seg_iter))
+    p = 0
     eobrun = 0
-    bw = c["bw"]
-    row_blocks = c["row_blocks"]
-    n_blocks = bw * c["bh"]
-    for b in range(n_blocks):
+    for b, o in enumerate(_block_offsets(c)):
         if restart and b and b % restart == 0:
-            try:
-                rdr = _Bits(next(seg_iter))
-            except StopIteration as exc:
-                raise JpegError("missing restart segment") from exc
+            win, end = _next_windows(seg_iter)
+            p = 0
             eobrun = 0
-        bidx = (b // bw) * row_blocks + (b % bw)
-        rl = coef[bidx].tolist()
-        k = ss
-        changed = False
+        if p > end:
+            p = end
+        k = o + ss
+        stop = o + se + 1
         if eobrun == 0:
-            while k <= se:
-                rs = rdr.huff(lut)
-                r, s = rs >> 4, rs & 0xF
-                newval = 0
-                if s == 0:
-                    if r < 15:  # EOBn
-                        eobrun = (1 << r)
-                        if r:
-                            eobrun += rdr.receive(r)
+            while k < stop:
+                look = win[p]
+                e = fast[look >> _FAST_SHIFT]
+                if e is not None:
+                    n, adv, val = e
+                    p += n
+                    if not adv:  # EOB0
+                        eobrun = 1
                         break
-                    # ZRL: skip 16 zero-history coeffs
-                else:
-                    if s != 1:
+                    if val > 1 or val < -1:
                         raise JpegError("invalid refinement magnitude")
-                    newval = p1 if rdr.receive(1) else m1
+                    r = adv - 1  # ZRL: r = 15, val = 0
+                    newval = val * p1
+                else:
+                    p, rs = _ac_slow(p, tab, look)
+                    r, s = rs >> 4, rs & 0xF
+                    newval = 0
+                    if s == 0:
+                        if r < 15:  # EOBn
+                            eobrun = (1 << r) + (win[p] >> (16 - r))
+                            p += r
+                            break
+                        # ZRL: skip 16 zero-history coeffs
+                    else:
+                        if s != 1:
+                            raise JpegError("invalid refinement magnitude")
+                        newval = p1 if win[p] >> 15 else m1
+                        p += 1
                 # advance over the band: correction bits on nonzero
                 # history, count down r zero-history positions
-                while k <= se:
-                    cur = rl[k]
+                while k < stop:
+                    cur = coef[k]
                     if cur:
-                        if rdr.receive(1) and (cur & p1) == 0:
-                            rl[k] = cur + (p1 if cur > 0 else m1)
-                            changed = True
+                        if win[p] >> 15 and not cur & p1:
+                            coef[k] = cur + (p1 if cur > 0 else m1)
+                        p += 1
                     else:
                         if r == 0:
                             if newval:
-                                rl[k] = newval
-                                changed = True
+                                coef[k] = newval
                             k += 1
                             break
                         r -= 1
                     k += 1
         if eobrun > 0:
-            # EOB region: one correction bit per nonzero coeff left,
-            # MSB-first in stream order — fetched in a single receive
-            nz = [i for i in range(k, se + 1) if rl[i]]
-            n = len(nz)
-            if n:
-                bits = rdr.receive(n)
-                j = n - 1
-                for kk in nz:
-                    if (bits >> j) & 1:
-                        cur = rl[kk]
-                        if (cur & p1) == 0:
-                            rl[kk] = cur + (p1 if cur > 0 else m1)
-                            changed = True
-                    j -= 1
+            # EOB region: one correction bit per nonzero coeff left
+            for k, cur in enumerate(coef[k:stop], k):
+                if cur:
+                    if win[p] >> 15 and not cur & p1:
+                        coef[k] = cur + (p1 if cur > 0 else m1)
+                    p += 1
             eobrun -= 1
-        if changed:
-            coef[bidx] = rl

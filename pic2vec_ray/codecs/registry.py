@@ -7,11 +7,11 @@ trusting the ``fmt`` column or extensions.
 
 All three whitelisted formats decode with from-scratch pure-numpy
 codecs (no image library exists in this environment): PNG (zlib +
-filters), BMP, and baseline-sequential JPEG (``codecs/jpeg.py`` —
-Huffman + dequant + IDCT). Non-baseline JPEG (progressive, 12-bit,
-arithmetic) raises and the decode stage maps any failure to the
-reference's missing-image semantics (zero tensor + ``missing=True``,
-mirroring the silent zero-fill at
+filters), BMP, and baseline-sequential and progressive JPEG
+(``codecs/jpeg.py`` — Huffman + dequant + IDCT). Other JPEG processes
+(12-bit, arithmetic, lossless, hierarchical) raise, and the decode stage
+maps any failure to the reference's missing-image semantics (zero
+tensor + ``missing=True``, mirroring the silent zero-fill at
 ``/root/reference/pic2vec/feature_preprocessing.py:318-323``).
 """
 

@@ -11,16 +11,24 @@ mis-orders zigzag or mis-scales the IDCT cannot pass.
 
 from __future__ import annotations
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
+from pic2vec_ray.codecs import jpeg as jpeg_mod
 from pic2vec_ray.codecs.jpeg import (
+    _AC_LUMA_BITS,
+    _AC_LUMA_VALS,
+    _DC_LUMA_BITS,
+    _DC_LUMA_VALS,
     _QT_LUMA,
     _QT_CHROMA,
     ZIGZAG,
     JpegError,
+    _BitWriter,
+    _canonical_codes,
     decode_jpeg,
     encode_jpeg,
 )
@@ -244,6 +252,188 @@ def test_zigzag_is_an_involution_pair():
     from pic2vec_ray.codecs.jpeg import UNZIGZAG
 
     assert np.array_equal(v[ZIGZAG][UNZIGZAG], v)
+
+
+# ------------------------------------------- pinned pixels and edge cases
+
+
+def _digest(a: np.ndarray) -> str:
+    return hashlib.blake2b(a.tobytes(), digest_size=16).hexdigest()
+
+
+def _scan_bounds(enc: bytes, n: int = 0) -> tuple[int, int]:
+    """[start, end) of the entropy data of the ``n``-th scan (no restarts)."""
+    sos = -1
+    for _ in range(n + 1):
+        sos = enc.find(b"\xff\xda", sos + 1)
+    start = sos + 2 + int.from_bytes(enc[sos + 2:sos + 4], "big")
+    end = start
+    while not (enc[end] == 0xFF and enc[end + 1] != 0x00):
+        end += 1
+    return start, end
+
+
+def _with_scan_data(enc: bytes, data: bytes, n: int = 0) -> bytes:
+    start, end = _scan_bounds(enc, n)
+    return enc[:start] + data + enc[end:]
+
+
+# blake2b-128 of the decoded pixels, recorded with the decoder before its
+# table-driven rewrite; shapes are (h, w, c)
+_FIXTURE_PIXELS = {  # partkey → (progressive, shape, digest)
+    2: (False, (128, 96, 3), "e4f36f1a1902c19c3f124264a126a846"),
+    5: (True, (128, 80, 3), "4eaab821d38395e2c4badef7e6fbce2b"),
+    8: (False, (128, 64, 3), "9defcf45e3b929a3136528887f2e12d3"),
+    11: (False, (128, 112, 3), "bab3d00ec6ecf0b8695d7f15d974c0f2"),
+    29: (False, (128, 80, 3), "f010942a512bdf6304f0321220a316ca"),
+    56: (False, (128, 64, 3), "346b8ef7129a74052a41661efcee5f1a"),  # black
+    65: (True, (128, 80, 3), "e54c9e8e665afc8560bb0fe82a902f09"),
+    125: (True, (128, 80, 3), "caa41ed783e6b9a02a385fc409efb7d2"),
+}
+
+
+@pytest.mark.parametrize("partkey", sorted(_FIXTURE_PIXELS))
+def test_fixture_jpeg_rows_decode_to_pinned_pixels(partkey):
+    from pic2vec_ray.fixtures.synth import make_image_row
+
+    progressive, shape, digest = _FIXTURE_PIXELS[partkey]
+    row = make_image_row(partkey, "")
+    assert row["fmt"] == "jpeg"
+    assert (row["bytes"].find(b"\xff\xc2") >= 0) == progressive
+    out = decode_jpeg(row["bytes"])
+    assert out.shape == shape
+    assert _digest(out) == digest
+
+
+def _pinned_encoding(name: str) -> bytes:
+    img = _smooth(40, 56, seed=9)
+    noisy = np.random.default_rng(4).integers(0, 256, (33, 41, 3), dtype=np.uint8)
+    return {
+        "420": lambda: encode_jpeg(img, quality=75, subsampling="420"),
+        "420_prog": lambda: encode_jpeg(img, quality=75, subsampling="420",
+                                        progressive=True, dht_per_scan=True),
+        "gray": lambda: encode_jpeg(img[:, :, 1], quality=80),
+        "gray_prog": lambda: encode_jpeg(img[:, :, 1], quality=80, progressive=True),
+        "restart": lambda: encode_jpeg(noisy, quality=70, restart_interval=3),
+        "restart_420": lambda: encode_jpeg(noisy, quality=30, subsampling="420",
+                                           restart_interval=1),
+    }[name]()
+
+
+@pytest.mark.parametrize("name,shape,digest", [
+    ("420", (40, 56, 3), "4b7562fb00f702104556382859149b62"),
+    ("420_prog", (40, 56, 3), "4b7562fb00f702104556382859149b62"),
+    ("gray", (40, 56, 1), "d0872a21ba8a50340f12ce8c31394fd7"),
+    ("gray_prog", (40, 56, 1), "d0872a21ba8a50340f12ce8c31394fd7"),
+    ("restart", (33, 41, 3), "2e129dea5774a4ea8c2f73c571f09725"),
+    ("restart_420", (33, 41, 3), "ce97da2cfb51268ede592435a4699fa4"),
+])
+def test_encoder_outputs_decode_to_pinned_pixels(name, shape, digest):
+    out = decode_jpeg(_pinned_encoding(name))
+    assert out.shape == shape
+    assert _digest(out) == digest
+
+
+@pytest.mark.parametrize("frac,rows,digest", [
+    (0.5, 16, "c5558f8646157f10d91e00f212e0ddc2"),
+    (0.8, 32, "427f9c06bd1181d64973dd7c76fa0b69"),
+    (0.95, 40, "1c157eaf6f7e7fc3e1fe24ead2649a67"),
+])
+def test_truncated_scan_decodes_with_zero_bits(frac, rows, digest):
+    """A scan cut short reads zero bits past its end: the full frame
+    still decodes, its leading rows equal the full decode, and the
+    rest is pinned."""
+    enc = encode_jpeg(_smooth(48, 64, seed=1), quality=60)
+    full = decode_jpeg(enc)
+    start, end = _scan_bounds(enc)
+    out = decode_jpeg(enc[:start + int(frac * (end - start))])
+    assert out.shape == full.shape == (48, 64, 3)
+    assert np.array_equal(out[:rows], full[:rows])
+    assert _digest(out) == digest
+
+
+def test_stream_cut_before_a_restart_marker_raises():
+    enc = encode_jpeg(_smooth(48, 64), quality=60, restart_interval=2)
+    with pytest.raises(JpegError, match="missing restart segment"):
+        decode_jpeg(enc[:enc.find(b"\xff\xd3")])
+
+
+_ONES = b"\xff\x00" * 16  # stuffed 0xFF bytes: no Annex-K code is all ones
+
+
+def test_code_not_in_table_raises_baseline():
+    enc = encode_jpeg(_smooth(16, 16))
+    with pytest.raises(JpegError, match="bad DC Huffman code"):
+        decode_jpeg(_with_scan_data(enc, _ONES))
+    # '00' is luma DC category 0; the AC lookahead is then all ones
+    with pytest.raises(JpegError, match="bad AC Huffman code"):
+        decode_jpeg(_with_scan_data(enc, b"\x3f" + _ONES))
+
+
+def test_code_not_in_table_raises_progressive():
+    enc = encode_jpeg(_smooth(16, 16), progressive=True)
+    with pytest.raises(JpegError, match="Huffman code"):
+        decode_jpeg(_with_scan_data(enc, _ONES, n=0))  # DC first scan
+    with pytest.raises(JpegError, match="Huffman code"):
+        decode_jpeg(_with_scan_data(enc, _ONES, n=2))  # first AC scan
+
+
+@pytest.mark.parametrize("symbols", [
+    [0x11] * 32,  # short codes: run 1 size 1, the 32nd lands on index 64
+    [0xF0] * 3 + [0xF1],  # long codes: 3 ZRL to index 49, then run 15
+])
+def test_run_past_index_63_raises(symbols):
+    dc = _canonical_codes(_DC_LUMA_BITS, _DC_LUMA_VALS)
+    ac = _canonical_codes(_AC_LUMA_BITS, _AC_LUMA_VALS)
+    w = _BitWriter()
+    w.write(*dc[0])
+    for rs in symbols:
+        w.write(*ac[rs])
+        if rs & 0xF:
+            w.write(1, rs & 0xF)
+    w.flush()
+    enc = encode_jpeg(np.full((8, 8), 128, dtype=np.uint8))
+    with pytest.raises(JpegError, match="AC index overrun"):
+        decode_jpeg(_with_scan_data(enc, bytes(w.out)))
+
+
+def test_fast_table_agrees_with_packed_table():
+    """Each fast entry is what the packed 16-bit table decodes: the code
+    length plus magnitude bits, the advance and the signed value."""
+    packed, fast = jpeg_mod._decode_lut(_AC_LUMA_BITS, _AC_LUMA_VALS)
+    k = jpeg_mod._FAST_BITS
+    assert len(fast) == 1 << k
+    hits = 0
+    for idx, entry in enumerate(fast):
+        e = packed[idx << (16 - k)]
+        length, rs = e >> 8, e & 0xFF
+        size = rs & 0xF
+        if entry is None:
+            assert e == 0 or length + size > k
+            continue
+        hits += 1
+        bits = (idx >> (k - length - size)) & ((1 << size) - 1)
+        value = 0
+        if size:
+            value = bits if bits >> (size - 1) else bits - (1 << size) + 1
+        advance = 0 if rs == 0x00 else 16 if rs == 0xF0 else (rs >> 4) + 1
+        assert entry == (length + size, advance, value)
+    assert hits > (1 << k) // 2
+
+
+def test_table_cache_stays_bounded():
+    """Streams that define more than 64 distinct Huffman tables leave at
+    most 64 cached (packed, fast) table pairs, and still decode."""
+    enc = encode_jpeg(_smooth(16, 16))
+    plain = decode_jpeg(enc)
+    for i in range(70):
+        vals = _AC_LUMA_VALS[i:] + _AC_LUMA_VALS[:i]  # an unused slot-3 table
+        dht = (b"\xff\xc4" + (19 + len(vals)).to_bytes(2, "big")
+               + bytes([0x13]) + bytes(_AC_LUMA_BITS) + bytes(vals))
+        assert np.array_equal(decode_jpeg(enc[:2] + dht + enc[2:]), plain)
+    assert len(jpeg_mod._LUT_CACHE) <= 64
+    for packed, fast in jpeg_mod._LUT_CACHE.values():
+        assert len(packed) == 65536 and len(fast) == 1 << jpeg_mod._FAST_BITS
 
 
 # ------------------------------------------------------ property tests
